@@ -54,9 +54,7 @@ Tensor Tensor::RandomNormal(Shape shape, util::Rng* rng, float mean,
                             float stddev) {
   LLM_CHECK(rng != nullptr);
   Tensor t(std::move(shape));
-  for (auto& v : t.data_) {
-    v = static_cast<float>(rng->Normal(mean, stddev));
-  }
+  rng->FillNormal(t.data_.data(), t.data_.size(), mean, stddev);
   return t;
 }
 

@@ -26,6 +26,10 @@ void WorkerPool::Run(int64_t n, const std::function<void(int64_t, int)>& fn) {
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
+  // A worker that woke only after the previous Run returned has copied
+  // that Run's cleared fn_ and old n_; let it leave the claim loop before
+  // next_ is reset, or it would claim this Run's indices under them.
+  done_cv_.wait(lock, [this] { return busy_ == 0; });
   fn_ = &fn;
   n_ = n;
   next_.store(0, std::memory_order_relaxed);

@@ -1,5 +1,13 @@
 #include "util/rng.h"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <system_error>
+#include <thread>
+
 namespace llm::util {
 
 namespace {
@@ -13,6 +21,115 @@ uint64_t SplitMix64(uint64_t* x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step on the 4-word state s.
+uint64_t Xoshiro(uint64_t* s) {
+  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = Rotl(s[3], 45);
+  return result;
+}
+
+// 53 random mantissa bits -> uniform in [0, 1).
+double ToUnit(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+// Box-Muller on two successive raw draws; u1 in (0,1] keeps log finite.
+// Normal() and FillNormal() both go through here, so their bits agree.
+void BoxMuller(uint64_t a, uint64_t b, double* z0, double* z1) {
+  const double u1 = 1.0 - ToUnit(a);
+  const double u2 = ToUnit(b);
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  *z0 = r * std::cos(theta);
+  *z1 = r * std::sin(theta);
+}
+
+// Writes `pairs` Box-Muller pairs drawn from s to out[0, 2 * pairs) and
+// advances s past them. Returns the last pair's second variate: what
+// Normal() leaves in its cache after handing that variate out.
+double FillPairs(uint64_t* s, float* out, size_t pairs, double mean,
+                 double stddev) {
+  double z0 = 0.0, z1 = 0.0;
+  for (size_t p = 0; p < pairs; ++p) {
+    const uint64_t a = Xoshiro(s);
+    const uint64_t b = Xoshiro(s);
+    BoxMuller(a, b, &z0, &z1);
+    out[2 * p] = static_cast<float>(mean + stddev * z0);
+    out[2 * p + 1] = static_cast<float>(mean + stddev * z1);
+  }
+  return z1;
+}
+
+size_t AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+constexpr size_t kChunkPairs = Rng::kFillNormalChunk / 2;
+
+// FillPairs split at fixed offsets: chunk k starts 2 * k * kChunkPairs
+// draws into the stream. The caller walks the state forward, doing only
+// the state update (a few percent of the work), and publishes each
+// chunk's start state; workers claim chunks as they come and do the
+// log/sincos/sqrt. The caller joins the claiming once its walk is done,
+// so `threads` threads compute, and a stalled one delays only the chunk
+// it holds. A thread that fails to spawn just means fewer workers: the
+// caller alone would still fill every chunk.
+double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
+                         double stddev, size_t threads) {
+  const size_t chunks = (pairs + kChunkPairs - 1) / kChunkPairs;
+  std::vector<std::array<uint64_t, 4>> starts(chunks);
+  std::atomic<size_t> published{0};  // starts[0, published) are final
+  std::atomic<size_t> next{0};       // next chunk to claim
+  double last_z1 = 0.0;              // written by the last chunk's filler
+  const auto claim = [&] {
+    while (true) {
+      const size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= chunks) return;
+      while (published.load(std::memory_order_acquire) <= k) {
+        std::this_thread::yield();
+      }
+      std::array<uint64_t, 4> state = starts[k];
+      const size_t begin = k * kChunkPairs;
+      const double z1 = FillPairs(state.data(), out + 2 * begin,
+                                  std::min(kChunkPairs, pairs - begin), mean,
+                                  stddev);
+      if (k + 1 == chunks) last_z1 = z1;
+    }
+  };
+  // Declared after everything `claim` touches, so that it is destroyed,
+  // joining any thread still running, before they are.
+  std::vector<std::jthread> workers;
+  const size_t spawn = std::min(threads, chunks) - 1;
+  workers.reserve(spawn);
+  for (size_t i = 0; i < spawn; ++i) {
+    try {
+      workers.emplace_back(claim);
+    } catch (const std::system_error&) {
+      break;
+    }
+  }
+  for (size_t k = 0; k < chunks; ++k) {
+    std::copy(s, s + 4, starts[k].begin());
+    published.store(k + 1, std::memory_order_release);
+    const size_t draws = 2 * std::min(kChunkPairs, pairs - k * kChunkPairs);
+    for (size_t i = 0; i < draws; ++i) Xoshiro(s);
+  }
+  claim();
+  for (auto& worker : workers) worker.join();
+  return last_z1;
+}
+
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -21,22 +138,9 @@ void Rng::Seed(uint64_t seed) {
   have_cached_normal_ = false;
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
+uint64_t Rng::NextU64() { return Xoshiro(state_); }
 
-double Rng::Uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
+double Rng::Uniform() { return ToUnit(NextU64()); }
 
 double Rng::Uniform(double lo, double hi) {
   LLM_CHECK_LE(lo, hi);
@@ -58,14 +162,31 @@ double Rng::Normal() {
     have_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller; u1 in (0,1] to keep log finite.
-  double u1 = 1.0 - Uniform();
-  double u2 = Uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  const uint64_t a = NextU64();
+  const uint64_t b = NextU64();
+  double z0 = 0.0;
+  BoxMuller(a, b, &z0, &cached_normal_);
   have_cached_normal_ = true;
-  return r * std::cos(theta);
+  return z0;
+}
+
+void Rng::FillNormal(float* out, size_t n, double mean, double stddev) {
+  if (n == 0) return;
+  LLM_CHECK(out != nullptr);
+  if (have_cached_normal_) {
+    *out++ = static_cast<float>(Normal(mean, stddev));
+    --n;
+  }
+  // Whole pairs leave the cache empty but holding the last pair's second
+  // variate, as the sequential loop does; SaveState() exposes that field.
+  const size_t pairs = n / 2;
+  const size_t cpus = pairs >= 2 * kChunkPairs ? AllowedCpus() : 1;
+  if (cpus > 1) {
+    cached_normal_ = FillPairsParallel(state_, out, pairs, mean, stddev, cpus);
+  } else if (pairs > 0) {
+    cached_normal_ = FillPairs(state_, out, pairs, mean, stddev);
+  }
+  if (n % 2 != 0) out[n - 1] = static_cast<float>(Normal(mean, stddev));
 }
 
 namespace {

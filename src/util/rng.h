@@ -9,6 +9,7 @@
 #define TFMR_UTIL_RNG_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +51,18 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
+
+  /// Writes exactly what `n` successive
+  /// `static_cast<float>(Normal(mean, stddev))` calls would write, and
+  /// leaves the generator (SaveState() included) exactly where they would.
+  /// Fills of at least two chunks split the Box-Muller work across one
+  /// thread per CPU in the caller's affinity mask; the values never
+  /// depend on the thread count or on timing.
+  void FillNormal(float* out, size_t n, double mean, double stddev);
+
+  /// Values per chunk of a parallel FillNormal. Shorter fills than two
+  /// chunks, and any fill with one allowed CPU, run inline on the caller.
+  static constexpr size_t kFillNormalChunk = 8192;
 
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p) { return Uniform() < p; }

@@ -1,6 +1,9 @@
 // Tests for the Tensor substrate.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/tensor.h"
 #include "util/rng.h"
 
@@ -79,6 +82,25 @@ TEST(TensorTest, RandomNormalStats) {
     var += (t[i] - t.Mean()) * (t[i] - t.Mean());
   }
   EXPECT_NEAR(var / static_cast<double>(t.numel()), 4.0, 0.3);
+}
+
+// Large enough for the threaded fill; float mean/stddev as the nn layers
+// pass them, and an odd draw before so the fill starts on a cached variate.
+TEST(TensorTest, RandomNormalMatchesSequentialDraws) {
+  util::Rng fill(44), loop(44);
+  fill.Normal();
+  loop.Normal();
+  Tensor t = Tensor::RandomNormal({301, 1000}, &fill, 0.5f, 0.02f);
+  std::vector<float> want(static_cast<size_t>(t.numel()));
+  for (float& v : want) v = static_cast<float>(loop.Normal(0.5f, 0.02f));
+  EXPECT_EQ(std::memcmp(t.data(), want.data(), want.size() * sizeof(float)),
+            0);
+  const util::RngState a = fill.SaveState();
+  const util::RngState b = loop.SaveState();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
+            0);
 }
 
 TEST(TensorTest, RandomUniformBounds) {

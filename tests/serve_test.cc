@@ -142,6 +142,19 @@ TEST(WorkerPoolTest, BackToBackRunsAreIsolated) {
   }
 }
 
+// A worker that wakes only after Run has returned copies that Run's
+// cleared fn and old n. The next Run must not reset the claim counter
+// under it, or it calls a null or dead function.
+TEST(WorkerPoolTest, LateWakerNeverRunsAStaleFunction) {
+  WorkerPool pool(4);
+  for (int round = 0; round < 20000; ++round) {
+    const int64_t n = round % 5;
+    std::atomic<int64_t> sum{0};
+    pool.Run(n, [&](int64_t i, int) { sum.fetch_add(i + 1); });
+    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
+  }
+}
+
 // --- InferenceServer -------------------------------------------------------
 
 nn::GPTConfig SmallConfig() {

@@ -1,8 +1,11 @@
 // Tests for the utility substrate: Status/StatusOr, Rng, Table, linalg.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -194,6 +197,73 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// FillNormal against the sequential loop it replaces, from the same state:
+// the same bytes out (and none written past n), and the same generator
+// after, down to the dead cached_normal field a checkpoint still saves.
+void ExpectFillMatchesLoop(size_t n, bool cached, double mean, double stddev) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " cached=" << cached
+                                    << " mean=" << mean
+                                    << " stddev=" << stddev);
+  Rng fill(1000 + n), loop(1000 + n);
+  // One draw leaves a variate cached; two leave the cache empty but its
+  // value stale, which a fill that draws no pair must keep.
+  for (int i = 0; i < (cached ? 1 : 2); ++i) {
+    fill.Normal();
+    loop.Normal();
+  }
+  std::vector<float> got(n + 1, -7.0f), want(n + 1, -7.0f);
+  fill.FillNormal(got.data(), n, mean, stddev);
+  for (size_t i = 0; i < n; ++i) {
+    want[i] = static_cast<float>(loop.Normal(mean, stddev));
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+  const RngState a = fill.SaveState();
+  const RngState b = loop.SaveState();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
+            0);
+  EXPECT_EQ(fill.NextU64(), loop.NextU64());
+}
+
+TEST(RngTest, FillNormalMatchesSequentialLoop) {
+  constexpr size_t kChunk = Rng::kFillNormalChunk;
+  // From 3 * kChunk + 1 up these run the threaded path, given more than
+  // one allowed CPU.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, kChunk - 1,
+                   kChunk, kChunk + 1, 3 * kChunk + 1, size_t{1} << 20,
+                   (size_t{1} << 20) + 1}) {
+    for (bool cached : {false, true}) {
+      ExpectFillMatchesLoop(n, cached, 0.0, 1.0);
+      ExpectFillMatchesLoop(n, cached, -0.75, 2.5);
+    }
+  }
+}
+
+// The fill takes its thread count from the caller's CPU affinity; one
+// allowed CPU means the inline path, and must give the same bytes.
+TEST(RngTest, FillNormalDoesNotDependOnThreadCount) {
+  constexpr size_t kN = 40 * Rng::kFillNormalChunk + 5;
+  std::vector<float> wide(kN), narrow(kN);
+  Rng a(77), b(77);
+  a.FillNormal(wide.data(), kN, 0.5, 0.02);
+  cpu_set_t all, one;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  b.FillNormal(narrow.data(), kN, 0.5, 0.02);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+  EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), kN * sizeof(float)), 0);
+  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(FaultInjectorTest, FiresAtExactOccurrences) {
