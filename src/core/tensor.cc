@@ -30,6 +30,24 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
   data_.assign(static_cast<size_t>(NumElements(shape_)), 0.0f);
 }
 
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
+  CopyData(other.data(), other.data_.size());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) {
+    shape_ = other.shape_;
+    CopyData(other.data(), other.data_.size());
+  }
+  return *this;
+}
+
+void Tensor::CopyData(const float* src, size_t n) {
+  data_.clear();
+  data_.resize(n);
+  std::copy(src, src + n, data_.data());
+}
+
 Tensor Tensor::Full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.Fill(value);
@@ -42,25 +60,32 @@ Tensor Tensor::Scalar(float value) {
   return t;
 }
 
-Tensor Tensor::FromVector(Shape shape, std::vector<float> data) {
+Tensor Tensor::FromVector(Shape shape, const std::vector<float>& data) {
   LLM_CHECK_EQ(static_cast<int64_t>(data.size()), NumElements(shape));
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = std::move(data);
+  t.CopyData(data.data(), data.size());
+  return t;
+}
+
+Tensor Tensor::Unset(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(static_cast<size_t>(NumElements(t.shape_)));
   return t;
 }
 
 Tensor Tensor::RandomNormal(Shape shape, util::Rng* rng, float mean,
                             float stddev) {
   LLM_CHECK(rng != nullptr);
-  Tensor t(std::move(shape));
+  Tensor t = Unset(std::move(shape));
   rng->FillNormal(t.data_.data(), t.data_.size(), mean, stddev);
   return t;
 }
 
 Tensor Tensor::RandomUniform(Shape shape, util::Rng* rng, float lo, float hi) {
   LLM_CHECK(rng != nullptr);
-  Tensor t(std::move(shape));
+  Tensor t = Unset(std::move(shape));
   for (auto& v : t.data_) {
     v = static_cast<float>(rng->Uniform(lo, hi));
   }
@@ -100,9 +125,8 @@ Tensor Tensor::Reshaped(Shape new_shape) const {
   LLM_CHECK_EQ(NumElements(new_shape), numel())
       << "reshape " << ShapeToString(shape_) << " -> "
       << ShapeToString(new_shape);
-  Tensor t;
+  Tensor t = *this;
   t.shape_ = std::move(new_shape);
-  t.data_ = data_;
   return t;
 }
 

@@ -9,8 +9,11 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -29,21 +32,26 @@ std::string ShapeToString(const Shape& shape);
 /// Contiguous row-major float32 tensor.
 class Tensor {
  public:
-  /// Empty tensor (rank 0 placeholder, 1 element? No: zero elements,
-  /// empty shape means scalar). Default is an *invalid* tensor with no
-  /// storage; check valid() before use.
+  /// Invalid tensor: no storage and an empty shape, which would mean a
+  /// one-element scalar, so valid() is false. Assign to it before use.
   Tensor() = default;
 
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape);
+
+  /// Deep copies: every element written once, by one memmove.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor Full(Shape shape, float value);
   static Tensor Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
   /// Scalar (rank-0) tensor.
   static Tensor Scalar(float value);
-  /// Takes ownership of `data`; data.size() must equal NumElements(shape).
-  static Tensor FromVector(Shape shape, std::vector<float> data);
+  /// Copies `data`, whose size must equal NumElements(shape).
+  static Tensor FromVector(Shape shape, const std::vector<float>& data);
   /// I.i.d. normal entries with the given stddev.
   static Tensor RandomNormal(Shape shape, util::Rng* rng, float mean = 0.0f,
                              float stddev = 1.0f);
@@ -105,8 +113,33 @@ class Tensor {
   std::string DebugString(int64_t max_elements = 16) const;
 
  private:
+  // std::allocator whose value-less construct() leaves the element unset,
+  // so resize() sizes fresh storage without writing it. A construct with a
+  // value (assign, copies) falls back to std::construct_at and so still
+  // writes every element.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+
+  // Storage for `shape` with every element unset, for the random
+  // constructors, which write each one. Its pages stay untouched until
+  // then, so a threaded fill takes their first-touch faults in parallel.
+  static Tensor Unset(Shape shape);
+
+  // Replaces the storage with a copy of src[0, n): sized unset, then
+  // written by one memmove. (The vector's own copy would construct the
+  // floats one at a time: only std::allocator gets the memmove path.)
+  void CopyData(const float* src, size_t n);
+
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Tensor& t);

@@ -45,7 +45,7 @@ core::Variable StructuralProbe::DistanceLoss(
   // Row-wise sum via multiplication with a ones column.
   core::Variable ones(core::Tensor::Ones({config_.rank, 1}), false);
   core::Variable pred = core::MatMul(sq, ones);  // [P, 1]
-  core::Tensor target = core::Tensor::FromVector({P, 1}, std::move(gold));
+  core::Tensor target = core::Tensor::FromVector({P, 1}, gold);
   // H&M use L1; squared error behaves equivalently at this scale and is
   // what the op set provides.
   return core::MseLoss(pred, target);

@@ -690,6 +690,9 @@ int64_t InferenceServer::AdmitFromQueue() {
         scheduler_.PreemptFor(incoming, options_.tenants, &preempt_out);
     LLM_CHECK(preempted);  // single scheduler thread: the victim can't move
     Publish(preempt_out);
+    // The victim's retirement may have leaked its slot; repair it before
+    // the incoming request claims a slot.
+    RepairLeakedSlots();
     AdmitState(std::move(state));
     ++admitted;
   }
@@ -765,6 +768,16 @@ void InferenceServer::Publish(const TickOutput& out) {
   }
 }
 
+void InferenceServer::RepairLeakedSlots() {
+  const int64_t repaired = scheduler_.ReclaimLeakedSlots();
+  if (repaired == 0) return;
+  leaks_repaired_.fetch_add(static_cast<uint64_t>(repaired),
+                            std::memory_order_relaxed);
+  degraded_.store(true, std::memory_order_release);
+  obs::FlightRecorder::Global().Record(obs::FlightEventType::kLeakRepaired,
+                                       static_cast<int32_t>(repaired));
+}
+
 void InferenceServer::SchedulerMain() {
   while (!stop_.load(std::memory_order_acquire)) {
     if (scheduler_.active_count() == 0) {
@@ -801,15 +814,7 @@ void InferenceServer::SchedulerMain() {
       est_ms_per_step_pub_.store(est_ms_per_step_, std::memory_order_relaxed);
     }
     Publish(tick_out_);
-    const int64_t repaired = scheduler_.ReclaimLeakedSlots();
-    if (repaired > 0) {
-      leaks_repaired_.fetch_add(static_cast<uint64_t>(repaired),
-                                std::memory_order_relaxed);
-      degraded_.store(true, std::memory_order_release);
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kLeakRepaired,
-          static_cast<int32_t>(repaired));
-    }
+    RepairLeakedSlots();
   }
   // Shutdown: retire in-flight sequences (partial output preserved) and
   // fail whatever is still queued.

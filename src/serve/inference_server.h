@@ -270,6 +270,11 @@ class InferenceServer {
   /// Registers the request as in-flight (for the watchdog) and admits it.
   void AdmitState(std::shared_ptr<RequestState> state);
   void Publish(const TickOutput& out);
+  /// Sweeps slots leaked by a retirement (the kSlotLeak fault) back into
+  /// the pool, counting each repair and marking the server degraded. Runs
+  /// after each tick's and each preemption's Publish, so a leak is gone
+  /// before the next admission.
+  void RepairLeakedSlots();
   void CompleteNow(const std::shared_ptr<RequestState>& state,
                    FinishReason reason, util::Status status);
   void RecordFinish(const RequestState& state, FinishReason reason,

@@ -1,5 +1,6 @@
 #include "train/dist/worker_loop.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -41,14 +42,13 @@ util::Status SaveAssembledCheckpoint(
             "moment gather underflow: rank " + std::to_string(o) +
             " sent " + std::to_string(buf.size()) + " floats");
       }
-      std::vector<float> slice(
-          buf.begin() + static_cast<ptrdiff_t>(cur[o]),
-          buf.begin() + static_cast<ptrdiff_t>(cur[o] + numel));
+      core::Tensor slot(params[i].value().shape());
+      std::copy(buf.begin() + static_cast<ptrdiff_t>(cur[o]),
+                buf.begin() + static_cast<ptrdiff_t>(cur[o] + numel),
+                slot.data());
       cur[o] += numel;
-      full.slots.emplace_back(
-          (pass == 0 ? "m/" : "v/") + std::to_string(i),
-          core::Tensor::FromVector(params[i].value().shape(),
-                                   std::move(slice)));
+      full.slots.emplace_back((pass == 0 ? "m/" : "v/") + std::to_string(i),
+                              std::move(slot));
     }
   }
 

@@ -10,11 +10,51 @@
 namespace llm::core {
 namespace {
 
+// Bitwise equality of n floats; n == 0 compares no storage at all.
+bool SameBits(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
 TEST(TensorTest, ZeroInitialized) {
   Tensor t({2, 3});
   EXPECT_EQ(t.numel(), 6);
   EXPECT_EQ(t.ndim(), 2);
   for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
+}
+
+// Random tensors leave their storage unset until the fill writes it. Every
+// other constructor must still write each element, even into memory that a
+// dropped random tensor has just handed back to malloc: 1,000 floats is a
+// size malloc reuses at once, 300,000 one it serves from mmap at first.
+TEST(TensorTest, ZeroInitializedOnReusedMemory) {
+  for (const int64_t n : {int64_t{1000}, int64_t{300000}}) {
+    SCOPED_TRACE(n);
+    util::Rng rng(7);
+    const auto dirty = [&] {
+      const Tensor t = Tensor::RandomNormal({n}, &rng, 5.0f, 1.0f);
+      ASSERT_EQ(t.numel(), n);
+    };
+    const auto holds = [n](const Tensor& t, float value) {
+      const std::vector<float> want(static_cast<size_t>(n), value);
+      return t.numel() == n && SameBits(t.data(), want.data(), want.size());
+    };
+    dirty();
+    EXPECT_TRUE(holds(Tensor(Shape{n}), 0.0f));
+    dirty();
+    EXPECT_TRUE(holds(Tensor::Zeros({n}), 0.0f));
+    dirty();
+    EXPECT_TRUE(holds(Tensor::Ones({n}), 1.0f));
+    dirty();
+    EXPECT_TRUE(holds(Tensor::Full({n}, -3.5f), -3.5f));
+    const Tensor source = Tensor::Full({n}, 2.0f);
+    dirty();
+    const Tensor copy(source);
+    EXPECT_TRUE(holds(copy, 2.0f));
+    Tensor assigned = Tensor::Full({3}, 9.0f);
+    dirty();
+    assigned = source;
+    EXPECT_TRUE(holds(assigned, 2.0f));
+  }
 }
 
 TEST(TensorTest, ScalarHasRankZero) {
@@ -84,32 +124,39 @@ TEST(TensorTest, RandomNormalStats) {
   EXPECT_NEAR(var / static_cast<double>(t.numel()), 4.0, 0.3);
 }
 
-// Large enough for the threaded fill; float mean/stddev as the nn layers
-// pass them, and an odd draw before so the fill starts on a cached variate.
+// {301, 1000} is large enough for the threaded fill, {7, 3} is filled
+// inline and {0, 5} has no storage. Float mean/stddev as the nn layers pass
+// them, and an odd draw before so the fill starts on a cached variate.
 TEST(TensorTest, RandomNormalMatchesSequentialDraws) {
-  util::Rng fill(44), loop(44);
-  fill.Normal();
-  loop.Normal();
-  Tensor t = Tensor::RandomNormal({301, 1000}, &fill, 0.5f, 0.02f);
-  std::vector<float> want(static_cast<size_t>(t.numel()));
-  for (float& v : want) v = static_cast<float>(loop.Normal(0.5f, 0.02f));
-  EXPECT_EQ(std::memcmp(t.data(), want.data(), want.size() * sizeof(float)),
-            0);
-  const util::RngState a = fill.SaveState();
-  const util::RngState b = loop.SaveState();
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
-  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
-  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
-            0);
+  for (const Shape& shape : {Shape{301, 1000}, Shape{7, 3}, Shape{0, 5}}) {
+    SCOPED_TRACE(ShapeToString(shape));
+    util::Rng fill(44), loop(44);
+    fill.Normal();
+    loop.Normal();
+    Tensor t = Tensor::RandomNormal(shape, &fill, 0.5f, 0.02f);
+    ASSERT_EQ(t.numel(), NumElements(shape));
+    std::vector<float> want(static_cast<size_t>(t.numel()));
+    for (float& v : want) v = static_cast<float>(loop.Normal(0.5f, 0.02f));
+    EXPECT_TRUE(SameBits(t.data(), want.data(), want.size()));
+    const util::RngState a = fill.SaveState();
+    const util::RngState b = loop.SaveState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+    EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+    EXPECT_EQ(
+        std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)), 0);
+  }
 }
 
 TEST(TensorTest, RandomUniformBounds) {
-  util::Rng rng(43);
+  util::Rng rng(43), loop(43);
   Tensor t = Tensor::RandomUniform({1000}, &rng, -2.0f, 3.0f);
   for (int64_t i = 0; i < t.numel(); ++i) {
     EXPECT_GE(t[i], -2.0f);
     EXPECT_LT(t[i], 3.0f);
   }
+  std::vector<float> want(static_cast<size_t>(t.numel()));
+  for (float& v : want) v = static_cast<float>(loop.Uniform(-2.0f, 3.0f));
+  EXPECT_TRUE(SameBits(t.data(), want.data(), want.size()));
 }
 
 TEST(TensorTest, DefaultIsInvalid) {

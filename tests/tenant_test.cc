@@ -12,7 +12,8 @@
 //     chat preempting a running batch decode, shed-from-queue, and the
 //     two determinism contracts — surviving batch mates stay bit-exact
 //     with their single-stream reference, and a preempted request's
-//     partial output is a strict prefix of its own reference.
+//     partial output is a strict prefix of its own reference — and a
+//     preemption whose victim leaks its slot.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,6 +25,7 @@
 #include "serve/request_queue.h"
 #include "serve/tenant.h"
 #include "serve/workload.h"
+#include "util/fault.h"
 
 namespace llm::serve {
 namespace {
@@ -382,6 +384,49 @@ TEST(TenantServerTest, ChatPreemptsRunningBatchDecode) {
   EXPECT_EQ(stats.active_slots, 0);
   EXPECT_EQ(stats.free_slots, stats.total_slots);
   server.Shutdown();
+}
+
+TEST(TenantServerTest, VictimSlotLeakIsRepairedBeforeThePreemptorIsAdmitted) {
+  // As above, but the victim's retirement — the first of the run — leaks
+  // its slot (kSlotLeak). The one slot must be swept back into the pool
+  // before the chat request is admitted into it, not after the next tick.
+  struct DisarmOnExit {
+    ~DisarmOnExit() { util::FaultInjector::Global().Disarm(); }
+  } disarm;
+  util::FaultInjector::Global().ArmAt(util::FaultSite::kSlotLeak, {0});
+  util::Rng rng(62);
+  nn::GPTModel model(SmallConfig(), &rng);
+  ServerOptions options;
+  options.max_batch_size = 1;
+  options.num_workers = 1;
+  options.queue_capacity = 4;
+  InferenceServer server(&model, options);
+  server.Start();
+
+  auto batch_id = server.Submit(SlowBatch({5, 6}, 10, 24));
+  ASSERT_TRUE(batch_id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // decoding
+
+  const GenerateRequest chat = MakeGreedy({7}, 11, 4, TenantClass::kChat);
+  RequestResult chat_result = server.GenerateBlocking(chat);
+  EXPECT_TRUE(chat_result.status.ok());
+  EXPECT_EQ(chat_result.reason, FinishReason::kLength);
+  EXPECT_EQ(chat_result.tokens, SingleStreamReference(model, chat));
+  auto batch_result = server.Wait(batch_id.value());
+  ASSERT_TRUE(batch_result.ok());
+  EXPECT_EQ(batch_result.value().reason, FinishReason::kPreempted);
+  EXPECT_EQ(util::FaultInjector::Global().Fired(util::FaultSite::kSlotLeak),
+            1);
+
+  EXPECT_TRUE(server.Drain(std::chrono::seconds(5)).ok());
+  const ServerStats stats = server.Stats();
+  EXPECT_GE(stats.leaks_repaired, 1u);
+  EXPECT_EQ(stats.preempted, 1u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled +
+                                 stats.expired + stats.failed +
+                                 stats.preempted);
+  EXPECT_EQ(stats.active_slots, 0);
+  EXPECT_EQ(stats.free_slots, stats.total_slots);
 }
 
 TEST(TenantServerTest, SurvivingBatchMatesStayBitExactThroughPreemption) {
