@@ -68,6 +68,9 @@ DistTrainer::~DistTrainer() {
   epoch_.fetch_add(1);
   AbortTransport();
   JoinAll();
+  // The server's reader threads ingest into telemetry_, which is destroyed
+  // before server_ is: join them while every member is still alive.
+  if (server_) server_->Stop();
 }
 
 void DistTrainer::AbortTransport() {
@@ -364,6 +367,9 @@ bool DistTrainer::MonitorEpoch(util::Status* verdict) {
         dropped.empty()) {
       if (done == world) {
         JoinAll();
+        // Every rank has sent its final telemetry unit and then its
+        // goodbye; return once the server has handled them.
+        if (server_) server_->AwaitAllFinished(options_.collective_timeout);
         *verdict = util::Status::OK();
         return true;
       }

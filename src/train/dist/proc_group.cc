@@ -353,6 +353,9 @@ bool ProcGroupCoordinator::MonitorGang(util::Status* verdict,
 
     if (!have_incident) {
       if (done == world) {
+        // A worker exits right after its goodbye; its final telemetry
+        // unit and the goodbye may still be in the server's reader.
+        server_->AwaitAllFinished(options_.collective_timeout);
         *verdict = util::Status::OK();
         return true;
       }

@@ -290,8 +290,11 @@ void SocketServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       return;
     }
     case FrameType::kGoodbye: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ranks_[static_cast<size_t>(conn->rank)].finished = true;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ranks_[static_cast<size_t>(conn->rank)].finished = true;
+      }
+      finished_cv_.notify_all();
       return;
     }
     case FrameType::kTelemetry: {
@@ -484,6 +487,14 @@ int64_t SocketServer::HeartbeatCount(int rank) const {
 bool SocketServer::Finished(int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
   return ranks_[static_cast<size_t>(rank)].finished;
+}
+
+bool SocketServer::AwaitAllFinished(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return finished_cv_.wait_for(lock, timeout, [this] {
+    return std::all_of(ranks_.begin(), ranks_.end(),
+                       [](const RankState& rs) { return rs.finished; });
+  });
 }
 
 void SocketServer::SetTelemetrySink(TelemetrySink sink) {

@@ -100,6 +100,11 @@ class SocketServer {
   int64_t HeartbeatCount(int rank) const;
   /// True once `rank` sent kGoodbye (orderly loop completion) this epoch.
   bool Finished(int rank) const;
+  /// Waits until every rank has sent kGoodbye this epoch, or `timeout`
+  /// passes; true if all did. A connection's frames are handled in order,
+  /// so whatever a rank sent before its goodbye (its final telemetry
+  /// unit) has reached the sink by then.
+  bool AwaitAllFinished(std::chrono::milliseconds timeout);
   /// Ranks that connected this epoch, then dirtily lost their connection
   /// more than `grace` ago and have not reconnected or said goodbye. The
   /// monitor's fast path: transport death is visible here long before a
@@ -168,6 +173,7 @@ class SocketServer {
   std::vector<std::shared_ptr<Conn>> by_rank_;    // guarded by mu_
   std::vector<std::shared_ptr<Conn>> graveyard_;  // guarded by mu_
   std::vector<RankState> ranks_;                  // guarded by mu_
+  std::condition_variable finished_cv_;           // a rank said goodbye
   TelemetrySink telemetry_sink_;                  // guarded by mu_
 };
 

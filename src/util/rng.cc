@@ -8,6 +8,8 @@
 #include <system_error>
 #include <thread>
 
+#include "util/normal_kernel.h"
+
 namespace llm::util {
 
 namespace {
@@ -50,20 +52,61 @@ void BoxMuller(uint64_t a, uint64_t b, double* z0, double* z1) {
   *z1 = r * std::sin(theta);
 }
 
+// Writes static_cast<float>(Normal(mean, stddev)) for both variates of the
+// pair drawn as a, b to out[0] and out[1]; returns the second variate.
+double ExactPair(uint64_t a, uint64_t b, double mean, double stddev,
+                 float* out) {
+  double z0 = 0.0, z1 = 0.0;
+  BoxMuller(a, b, &z0, &z1);
+  out[0] = static_cast<float>(mean + stddev * z0);
+  out[1] = static_cast<float>(mean + stddev * z1);
+  return z1;
+}
+
+// Pairs per kernel call: 1 KiB of draws and 1 KiB of variates on the
+// filling thread's stack.
+constexpr size_t kBlockPairs = 64;
+
 // Writes `pairs` Box-Muller pairs drawn from s to out[0, 2 * pairs) and
 // advances s past them. Returns the last pair's second variate: what
-// Normal() leaves in its cache after handing that variate out.
+// Normal() leaves in its cache after handing that variate out. Every pair
+// but the last goes through the vectorized kernel a block at a time; a
+// pair with a value the rounding check does not keep, and the last pair,
+// whose second variate is returned as a double, go through ExactPair.
 double FillPairs(uint64_t* s, float* out, size_t pairs, double mean,
                  double stddev) {
-  double z0 = 0.0, z1 = 0.0;
-  for (size_t p = 0; p < pairs; ++p) {
-    const uint64_t a = Xoshiro(s);
-    const uint64_t b = Xoshiro(s);
-    BoxMuller(a, b, &z0, &z1);
-    out[2 * p] = static_cast<float>(mean + stddev * z0);
-    out[2 * p + 1] = static_cast<float>(mean + stddev * z1);
+  if (pairs == 0) return 0.0;
+  const normal_kernel::Kernel kernel = normal_kernel::Best();
+  uint64_t a[kBlockPairs] = {}, b[kBlockPairs] = {};
+  double z0[kBlockPairs] = {}, z1[kBlockPairs] = {};
+  const size_t fast = pairs - 1;
+  for (size_t p = 0; p < fast; p += kBlockPairs) {
+    const size_t m = std::min(kBlockPairs, fast - p);
+    for (size_t i = 0; i < m; ++i) {
+      a[i] = Xoshiro(s);
+      b[i] = Xoshiro(s);
+    }
+    kernel(a, b, m, z0, z1);
+    float* o = out + 2 * p;
+    // Branch-free, so it vectorizes; the rare block with a value not kept
+    // is scanned again pair by pair.
+    int all_kept = 1;
+    for (size_t i = 0; i < m; ++i) {
+      all_kept &= normal_kernel::KeepFloat(mean, stddev, z0[i], &o[2 * i]);
+      all_kept &= normal_kernel::KeepFloat(mean, stddev, z1[i], &o[2 * i + 1]);
+    }
+    if (all_kept) continue;
+    for (size_t i = 0; i < m; ++i) {
+      float f[2] = {};
+      if (!normal_kernel::KeepFloat(mean, stddev, z0[i], &f[0]) ||
+          !normal_kernel::KeepFloat(mean, stddev, z1[i], &f[1])) {
+        ExactPair(a[i], b[i], mean, stddev, &o[2 * i]);
+      }
+    }
   }
-  return z1;
+  const uint64_t last_a = Xoshiro(s);
+  const uint64_t last_b = Xoshiro(s);
+  return ExactPair(last_a, last_b, mean, stddev, out + 2 * fast);
 }
 
 size_t AllowedCpus() {
@@ -131,6 +174,25 @@ double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
 }
 
 }  // namespace
+
+namespace normal_kernel {
+
+// mean + stddev * z lies within the kernel's error budget (2^-46 relative
+// to libm, plus a few roundings) of the double Normal(mean, stddev) gives,
+// far inside the 2^-40 slack. Rounding to float is monotone, so when both
+// ends of the slack round to one float, that double does too. A float of
+// +-0 is refused: -0 == +0, so the two ends may hide a sign.
+bool KeepFloat(double mean, double stddev, double z, float* out) {
+  const double t = stddev * z;
+  const double y = mean + t;
+  const double slack = 0x1p-40 * (std::fabs(mean) + std::fabs(t));
+  const float lo = static_cast<float>(y - slack);
+  const float hi = static_cast<float>(y + slack);
+  *out = lo;
+  return (lo == hi) & (lo != 0.0f);  // NaN compares unequal
+}
+
+}  // namespace normal_kernel
 
 void Rng::Seed(uint64_t seed) {
   uint64_t sm = seed;

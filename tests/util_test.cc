@@ -5,12 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/fault.h"
 #include "util/linalg.h"
+#include "util/normal_kernel.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -199,10 +204,160 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, sorted);
 }
 
+// Libm Box-Muller on two raw draws, written out as Rng's own helper does.
+void LibmPair(uint64_t a, uint64_t b, double* z0, double* z1) {
+  const double u1 = 1.0 - static_cast<double>(a >> 11) * 0x1.0p-53;
+  const double u2 = static_cast<double>(b >> 11) * 0x1.0p-53;
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  *z0 = r * std::cos(theta);
+  *z1 = r * std::sin(theta);
+}
+
+// Worst |z_fast - z_libm| / |z_libm| over one copy's run on a, b; counts
+// values where exactly one of the two is zero in *zero_mismatches.
+double WorstRelativeError(normal_kernel::Kernel kernel,
+                          const std::vector<uint64_t>& a,
+                          const std::vector<uint64_t>& b,
+                          size_t* zero_mismatches) {
+  const size_t n = a.size();
+  std::vector<double> fast0(n), fast1(n);
+  kernel(a.data(), b.data(), n, fast0.data(), fast1.data());
+  double worst = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double libm[2];
+    LibmPair(a[i], b[i], &libm[0], &libm[1]);
+    for (const auto& [fast, want] : {std::pair{fast0[i], libm[0]},
+                                    std::pair{fast1[i], libm[1]}}) {
+      if ((fast == 0.0) != (want == 0.0)) {
+        ++*zero_mismatches;
+      } else if (want != 0.0) {
+        worst = std::max(worst, std::fabs(fast - want) / std::fabs(want));
+      }
+    }
+  }
+  return worst;
+}
+
+// Every kernel copy this CPU can run, called directly, against libm on the
+// same draws: 2^22 random pairs, then the edges. For u1 = 1 - (a >> 11)
+// 2^-53 those are u1 = 1 (a zero variate) and the next value down, u1 = 1/2
+// and the next value up, the smallest u1, and u1 around sqrt(1/2), where
+// the log's exponent split switches; for u2 = (b >> 11) 2^-53 both ends
+// and theta next to pi/2, pi and 3 pi/2.
+TEST(NormalKernelTest, EveryCopyTracksLibm) {
+  const uint64_t mid = static_cast<uint64_t>((1.0 - std::sqrt(0.5)) * 0x1p53);
+  std::vector<uint64_t> edge_a = {0, 1, (uint64_t{1} << 52) - 1,
+                                  uint64_t{1} << 52, (uint64_t{1} << 53) - 1};
+  for (uint64_t m = mid - 3; m <= mid + 3; ++m) edge_a.push_back(m);
+  std::vector<uint64_t> edge_b = {0, (uint64_t{1} << 53) - 1};
+  for (uint64_t m : {uint64_t{1} << 51, uint64_t{1} << 52,
+                     uint64_t{3} << 51}) {
+    for (uint64_t d : {m - 1, m, m + 1}) edge_b.push_back(d);
+  }
+  std::vector<uint64_t> a, b;
+  for (uint64_t ma : edge_a) {
+    for (uint64_t mb : edge_b) {
+      a.push_back(ma << 11);
+      b.push_back(mb << 11 | 0x7ff);  // the low 11 bits are never used
+    }
+  }
+  constexpr size_t kRandomPairs = size_t{1} << 22;
+  constexpr size_t kBatch = size_t{1} << 16;
+  Rng rng(2024);
+  std::string ran;
+  for (const normal_kernel::Copy& copy : normal_kernel::Copies()) {
+    if (!copy.runnable) continue;
+    SCOPED_TRACE(copy.name);
+    size_t zero_mismatches = 0;
+    double worst = WorstRelativeError(copy.kernel, a, b, &zero_mismatches);
+    Rng draws = rng;
+    std::vector<uint64_t> ra(kBatch), rb(kBatch);
+    for (size_t done = 0; done < kRandomPairs; done += kBatch) {
+      for (size_t i = 0; i < kBatch; ++i) {
+        ra[i] = draws.NextU64();
+        rb[i] = draws.NextU64();
+      }
+      worst = std::max(worst, WorstRelativeError(copy.kernel, ra, rb,
+                                                 &zero_mismatches));
+    }
+    EXPECT_LE(worst, 0x1p-46);
+    EXPECT_EQ(zero_mismatches, 0u);
+    char line[96];
+    std::snprintf(line, sizeof(line), " %s (worst 2^%.2f)", copy.name,
+                  std::log2(worst));
+    ran += line;
+  }
+  std::printf("normal kernel copies run:%s over %zu random and %zu edge "
+              "pairs\n",
+              ran.c_str(), kRandomPairs, a.size());
+}
+
+// The check FillNormal keeps a kernel value by, on values built to sit on
+// either side of it.
+TEST(NormalKernelTest, KeepFloatKeepsOnlyWhatRoundsOneWay) {
+  const auto kept = [](double mean, double stddev, double z) {
+    float f = 0.0f;
+    return normal_kernel::KeepFloat(mean, stddev, z, &f);
+  };
+  // 1 + 2^-24 is the midpoint of 1.0f and the next float up; one double
+  // ULP either side of it, the slack spans both floats.
+  for (double sign : {1.0, -1.0}) {
+    const double midpoint = sign * (1.0 + 0x1p-24);
+    for (double y : {std::nextafter(midpoint, 0.0),
+                     std::nextafter(midpoint, 2.0 * midpoint)}) {
+      EXPECT_FALSE(kept(y, 1.0, 0.0)) << y;
+      EXPECT_FALSE(kept(0.0, 1.0, y)) << y;
+      EXPECT_FALSE(kept(0.5 * y, 0.25, 2.0 * y)) << y;
+    }
+  }
+  // A y equal to a float is kept as that float, and so is one far from a
+  // float midpoint (0.01).
+  for (const auto& [mean, stddev, z, want] :
+       {std::tuple{0.0, 1.0, 1.5, 1.5f}, std::tuple{0.25, 2.0, 0.625, 1.5f},
+        std::tuple{-0.75, 2.5, 0.0, -0.75f},
+        std::tuple{0.0, 0.02, 0.5, static_cast<float>(0.01)},
+        std::tuple{0.0, 1.0, 0x1p-140, 0x1p-140f}}) {
+    float f = 0.0f;
+    EXPECT_TRUE(normal_kernel::KeepFloat(mean, stddev, z, &f))
+        << mean << " + " << stddev << " * " << z;
+    EXPECT_EQ(f, want);
+  }
+  // Nothing that rounds to +-0 is kept, and no NaN.
+  EXPECT_FALSE(kept(0.0, 1.0, 0.0));
+  EXPECT_FALSE(kept(0.0, 1.0, -0.0));
+  EXPECT_FALSE(kept(1.0, 1.0, -1.0));
+  EXPECT_FALSE(kept(0.0, 1.0, 1e-60));
+  EXPECT_FALSE(kept(0.0, 1.0, -1e-60));
+  EXPECT_FALSE(kept(0.0, 1.0, std::nan("")));
+  EXPECT_FALSE(kept(std::nan(""), 1.0, 0.5));
+}
+
+// Values of the `pairs` pairs a fill from `rng` would draw that the check
+// does not keep, with the kernel FillNormal uses.
+size_t CountNotKept(Rng rng, size_t pairs, double mean, double stddev) {
+  std::vector<uint64_t> a(pairs), b(pairs);
+  for (size_t i = 0; i < pairs; ++i) {
+    a[i] = rng.NextU64();
+    b[i] = rng.NextU64();
+  }
+  std::vector<double> z0(pairs), z1(pairs);
+  normal_kernel::Best()(a.data(), b.data(), pairs, z0.data(), z1.data());
+  size_t not_kept = 0;
+  for (size_t i = 0; i < pairs; ++i) {
+    float f = 0.0f;
+    not_kept += !normal_kernel::KeepFloat(mean, stddev, z0[i], &f);
+    not_kept += !normal_kernel::KeepFloat(mean, stddev, z1[i], &f);
+  }
+  return not_kept;
+}
+
 // FillNormal against the sequential loop it replaces, from the same state:
 // the same bytes out (and none written past n), and the same generator
 // after, down to the dead cached_normal field a checkpoint still saves.
-void ExpectFillMatchesLoop(size_t n, bool cached, double mean, double stddev) {
+// Returns how many of the fill's values the check did not keep.
+size_t ExpectFillMatchesLoop(size_t n, bool cached, double mean,
+                             double stddev) {
   SCOPED_TRACE(::testing::Message() << "n=" << n << " cached=" << cached
                                     << " mean=" << mean
                                     << " stddev=" << stddev);
@@ -213,6 +368,8 @@ void ExpectFillMatchesLoop(size_t n, bool cached, double mean, double stddev) {
     fill.Normal();
     loop.Normal();
   }
+  const size_t not_kept =
+      CountNotKept(fill, (n - (cached && n > 0)) / 2, mean, stddev);
   std::vector<float> got(n + 1, -7.0f), want(n + 1, -7.0f);
   fill.FillNormal(got.data(), n, mean, stddev);
   for (size_t i = 0; i < n; ++i) {
@@ -227,6 +384,7 @@ void ExpectFillMatchesLoop(size_t n, bool cached, double mean, double stddev) {
   EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
             0);
   EXPECT_EQ(fill.NextU64(), loop.NextU64());
+  return not_kept;
 }
 
 TEST(RngTest, FillNormalMatchesSequentialLoop) {
@@ -238,9 +396,50 @@ TEST(RngTest, FillNormalMatchesSequentialLoop) {
                    (size_t{1} << 20) + 1}) {
     for (bool cached : {false, true}) {
       ExpectFillMatchesLoop(n, cached, 0.0, 1.0);
-      ExpectFillMatchesLoop(n, cached, -0.75, 2.5);
+      const size_t not_kept = ExpectFillMatchesLoop(n, cached, -0.75, 2.5);
+      // The million-value fill has values the check refuses, so the match
+      // above covers the libm fallback too.
+      if (n == size_t{1} << 20) {
+        EXPECT_GE(not_kept, 1u) << "cached=" << cached;
+      }
     }
   }
+}
+
+// A value exactly on a float midpoint is one the check must refuse, and
+// the fallback must then round mean + stddev * z as Normal() does, in two
+// steps. Fused into one FMA, the sum would carry the rounding error of
+// stddev * z and round off the midpoint: up, for each draw picked here.
+TEST(RngTest, FillNormalRoundsFloatMidpointsLikeNormal) {
+  constexpr double kStddev = 0.7;
+  constexpr size_t kN = 64;
+  const double midpoint = 0x1p-10 * (1.0 + 0x1p-24);  // ties to 0x1p-10f
+  int tried = 0;
+  for (uint64_t seed = 1; tried < 8 && seed < 10000; ++seed) {
+    Rng probe(seed);
+    const double z = probe.Normal();  // the first value of a fill
+    const double t = kStddev * z;
+    if (std::fabs(t) < 1.0 || std::fabs(t) >= 2.0 ||
+        std::fma(kStddev, z, -t) <= 0.0) {
+      continue;
+    }
+    // Both on the 2^-52 grid and under 2 in size, so both sums are exact.
+    const double mean = midpoint - t;
+    ASSERT_EQ(mean + t, midpoint);
+    ASSERT_NE(static_cast<float>(std::fma(kStddev, z, mean)),
+              static_cast<float>(midpoint));
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng fill(seed), loop(seed);
+    std::vector<float> got(kN), want(kN);
+    fill.FillNormal(got.data(), kN, mean, kStddev);
+    for (size_t i = 0; i < kN; ++i) {
+      want[i] = static_cast<float>(loop.Normal(mean, kStddev));
+    }
+    EXPECT_EQ(want[0], 0x1p-10f);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), kN * sizeof(float)), 0);
+    ++tried;
+  }
+  EXPECT_EQ(tried, 8);
 }
 
 // The fill takes its thread count from the caller's CPU affinity; one
