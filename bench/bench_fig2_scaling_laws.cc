@@ -283,7 +283,13 @@ int main() {
     llm::core::Variable x(shard, false);
     llm::core::Variable y =
         static_cast<llm::nn::Mlp&>(model).Forward(x);
-    return llm::core::SumAll(llm::core::Mul(y, y));
+    llm::core::Variable loss = llm::core::SumAll(llm::core::Mul(y, y));
+    // Scaled by the world size, as ToyShardLoss does, so the all-reduced
+    // mean is the full-batch sum at every world size.
+    if (ctx.world_size == 1) return loss;
+    llm::core::Tensor scale =
+        llm::core::Tensor::Scalar(static_cast<float>(ctx.world_size));
+    return llm::core::Mul(loss, llm::core::Variable(scale, false));
   };
   // Both transports at every world size: the socket column prices the
   // full wire stack (framing, CRCs, syscalls) against shared memory for

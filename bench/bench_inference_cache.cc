@@ -44,7 +44,7 @@ int main() {
     gopts.sampler.temperature = 0.0f;
     llm::util::Rng r1(1), r2(1);
     auto slow = llm::sample::Generate(model, {1, 2, 3}, gopts, &r1);
-    auto fast = llm::nn::GenerateCached(model, {1, 2, 3}, 48, 0.0f, &r2);
+    auto fast = llm::sample::GenerateCached(model, {1, 2, 3}, gopts, &r2);
     std::printf("greedy equivalence over 48 tokens: %s\n\n",
                 slow == fast ? "IDENTICAL" : "MISMATCH (bug!)");
     if (slow != fast) return 1;
@@ -54,15 +54,13 @@ int main() {
   Table t({"new tokens", "recompute (s)", "cached (s)", "speedup"});
   for (int64_t n : {16, 32, 64, 128, 240}) {
     llm::util::Rng r1(7), r2(7);
-    const double slow = Seconds([&] {
-      llm::sample::GenerateOptions gopts;
-      gopts.max_new_tokens = n;
-      gopts.sampler.temperature = 1.0f;
-      llm::sample::Generate(model, {1}, gopts, &r1);
-    });
-    const double fast = Seconds([&] {
-      llm::nn::GenerateCached(model, {1}, n, 1.0f, &r2);
-    });
+    llm::sample::GenerateOptions gopts;
+    gopts.max_new_tokens = n;
+    gopts.sampler.temperature = 1.0f;
+    const double slow =
+        Seconds([&] { llm::sample::Generate(model, {1}, gopts, &r1); });
+    const double fast = Seconds(
+        [&] { llm::sample::GenerateCached(model, {1}, gopts, &r2); });
     t.AddRow({std::to_string(n), FormatFloat(slow, 3),
               FormatFloat(fast, 3), FormatFloat(slow / fast, 1) + "x"});
   }
@@ -115,7 +113,9 @@ int main() {
       llm::sample::Generate(model, {1}, opts, &r1);
     });
     const double fast = Seconds([&] {
-      llm::nn::GenerateCached(model, {1}, n, 1.0f, &r2);
+      llm::sample::GenerateOptions opts;
+      opts.max_new_tokens = n;
+      llm::sample::GenerateCached(model, {1}, opts, &r2);
     });
     std::printf(
         "{\"bench\":\"inference_cache\",\"new_tokens\":%lld,"

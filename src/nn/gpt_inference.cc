@@ -6,32 +6,6 @@
 
 namespace llm::nn {
 
-namespace {
-
-/// Minimal temperature sampler (greedy at T = 0), local to avoid a
-/// dependency cycle with the sample library.
-int64_t SampleRow(const float* logits, int64_t vocab, float temperature,
-                  util::Rng* rng) {
-  if (temperature <= 0.0f) {
-    int64_t best = 0;
-    for (int64_t i = 1; i < vocab; ++i) {
-      if (logits[i] > logits[best]) best = i;
-    }
-    return best;
-  }
-  float maxv = logits[0];
-  for (int64_t i = 1; i < vocab; ++i) maxv = std::max(maxv, logits[i]);
-  std::vector<float> probs(static_cast<size_t>(vocab));
-  const float inv_t = 1.0f / temperature;
-  for (int64_t i = 0; i < vocab; ++i) {
-    probs[static_cast<size_t>(i)] = std::exp((logits[i] - maxv) * inv_t);
-  }
-  LLM_CHECK(rng != nullptr);
-  return static_cast<int64_t>(rng->Categorical(probs));
-}
-
-}  // namespace
-
 void GptDecodeStep(const GPTModel& model, int64_t token, int64_t position,
                    KvLayerView* layers, DecodeScratch* scratch,
                    float* logits) {
@@ -167,29 +141,6 @@ const std::vector<float>& GptInferenceSession::Append(int64_t token) {
                 logits_.data());
   ++position_;
   return logits_;
-}
-
-std::vector<int64_t> GenerateCached(const GPTModel& model,
-                                    const std::vector<int64_t>& prefix,
-                                    int64_t max_new_tokens,
-                                    float temperature, util::Rng* rng,
-                                    int64_t stop_token) {
-  LLM_CHECK(!prefix.empty());
-  GptInferenceSession session(&model);
-  const std::vector<float>* logits = nullptr;
-  for (int64_t t : prefix) logits = &session.Append(t);
-  std::vector<int64_t> out;
-  for (int64_t i = 0; i < max_new_tokens; ++i) {
-    if (session.position() >= model.config().max_seq_len) break;
-    const int64_t next = SampleRow(
-        logits->data(), model.config().vocab_size, temperature, rng);
-    out.push_back(next);
-    if (next == stop_token) break;
-    if (session.position() < model.config().max_seq_len) {
-      logits = &session.Append(next);
-    }
-  }
-  return out;
 }
 
 }  // namespace llm::nn

@@ -57,7 +57,7 @@ class GptInferenceSession {
 
   /// Feeds one token; returns the next-token logits (length vocab_size).
   /// Aborts if the sequence would exceed the model's max_seq_len —
-  /// callers handle windowing (see GenerateCached).
+  /// callers handle windowing (see sample::GenerateCached).
   const std::vector<float>& Append(int64_t token);
 
   /// Rewinds to an empty sequence. Retains all cache capacity.
@@ -78,17 +78,6 @@ class GptInferenceSession {
   DecodeScratch scratch_;
   std::vector<float> logits_;
 };
-
-/// Autoregressive generation using the cache (the fast path mirroring
-/// sample::Generate, temperature-only). The prefix plus generated tokens
-/// must fit in the model window (no sliding-window support on the cached
-/// path — restart a session to window). For full SamplerOptions support
-/// (top-k / top-p) use sample::GenerateCached.
-std::vector<int64_t> GenerateCached(const GPTModel& model,
-                                    const std::vector<int64_t>& prefix,
-                                    int64_t max_new_tokens,
-                                    float temperature, util::Rng* rng,
-                                    int64_t stop_token = -1);
 
 }  // namespace llm::nn
 

@@ -15,62 +15,34 @@
 //   5. all-gathers the updated owner slices so every replica ends the
 //      step bit-identical.
 //
-// Elasticity is the headline. The latest v2 checkpoint (PR 1's format,
-// written by rank 0 at checkpoint barriers with the full optimizer state
-// assembled from every rank's shard) doubles as the rendezvous substrate:
-// *joining* an epoch and *recovering* from one are the same code path,
-// "load the newest checkpoint and run". The coordinator's monitor watches
-// worker phases and heartbeat counters; when a worker dies
+// Elasticity is the headline. The GangSupervisor (gang_supervisor.h)
+// runs these threads exactly as ProcGroupCoordinator's processes: the
+// newest valid checkpoint is the rendezvous, and a worker that dies
 // (FaultSite::kWorkerKill), stalls past the heartbeat timeout
-// (kWorkerStraggle), or a collective fails (timeout from a dropped
-// contribution, checksum mismatch from a corrupted one), it collapses the
-// epoch — AbortAll wakes every blocked rank — joins all threads, and
-// re-spawns the full world from the latest checkpoint. Because replay
-// from a checkpoint is bit-exact (same batches by step index, same
-// moments, deterministic collectives), a run that survives any number of
-// kill/drop/straggle incidents finishes with exactly the weights and loss
-// curve of an unfaulted run — the property dist_chaos_test asserts over
-// seeded fault storms.
-//
-// Observability: worker join/death, recovery epochs, collective aborts,
-// and checkpoint saves all land in the obs flight recorder, and
-// per-worker step gauges plus epoch/recovery gauges in the global metrics
-// registry, so every incident is reconstructible after the fact.
+// (kWorkerStraggle), or fails a collective (a dropped or corrupted
+// contribution) collapses the epoch, and the full world respawns from
+// that checkpoint. Replay is bit-exact, so a run that survives any number
+// of incidents ends with the weights and loss curve of an unfaulted run —
+// the property dist_chaos_test asserts over seeded fault storms. Every
+// incident lands in the flight recorder and in incident_reports().
 #ifndef TFMR_TRAIN_DIST_DIST_TRAINER_H_
 #define TFMR_TRAIN_DIST_DIST_TRAINER_H_
 
-#include <atomic>
 #include <chrono>
-#include <functional>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/telemetry.h"
-#include "train/dist/comm.h"
-#include "train/dist/sharded_adamw.h"
+#include "train/dist/gang_supervisor.h"
 #include "train/dist/worker_loop.h"
+#include "train/optimizer.h"
 #include "train/schedule.h"
 #include "train/trainer.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace llm::train::dist {
-
-class SocketServer;
-
-/// Which collective transport carries the workers' traffic.
-enum class CommTransport {
-  /// In-process CommHub: shared memory under a mutex. Zero copies, zero
-  /// syscalls — the baseline every other transport must match bit-exactly.
-  kThread,
-  /// SocketComm against a SocketServer over a Unix-domain (or TCP)
-  /// socket: the full wire stack — framing, CRCs, reconnects, epoch
-  /// fencing — exercised even when workers happen to be threads.
-  kSocket,
-};
 
 struct DistTrainerOptions {
   int world_size = 2;
@@ -130,17 +102,6 @@ struct DistTrainerOptions {
   int64_t telemetry_every = 0;
 };
 
-/// One distributed incident and how the coordinator responded.
-struct DistIncident {
-  int epoch = 0;
-  int64_t step = 0;  // last step the offending rank reached
-  int rank = -1;
-  std::string kind;    // "worker-death", "worker-stall",
-                       // "collective-failure", "checkpoint-write", ...
-  std::string detail;
-  std::string action;  // "respawn world from ckpt step N", ...
-};
-
 class DistTrainer {
  public:
   DistTrainer(const DistTrainerOptions& options, ModelFactory model_factory,
@@ -161,9 +122,15 @@ class DistTrainer {
   /// rank 0. Valid after Run.
   const std::vector<StepRecord>& history() const { return history_; }
 
-  const std::vector<DistIncident>& incidents() const { return incidents_; }
-  std::string FormatIncidents() const;
-  int recoveries() const { return recoveries_; }
+  const std::vector<DistIncident>& incidents() const {
+    return supervisor_.incidents();
+  }
+  std::string FormatIncidents() const { return supervisor_.FormatIncidents(); }
+  int recoveries() const { return supervisor_.recoveries(); }
+  /// One structured report per incident (see GangSupervisor).
+  const std::vector<obs::IncidentReport>& incident_reports() const {
+    return supervisor_.incident_reports();
+  }
 
   /// Mean loss over the last n recorded steps; 0 when no history.
   float RecentLoss(int64_t n = 50) const;
@@ -174,54 +141,17 @@ class DistTrainer {
 
   /// The coordinator-side aggregator of every shipped telemetry unit
   /// (populated only when options.telemetry_every > 0).
-  const obs::TelemetryAggregator& telemetry() const { return telemetry_; }
+  const obs::TelemetryAggregator& telemetry() const {
+    return supervisor_.telemetry();
+  }
 
  private:
-  enum class Phase : int {
-    kLoading = 0,
-    kRunning,
-    kDone,
-    kDead,    // kWorkerKill fired; the thread exited mid-run
-    kFailed,  // collective or checkpoint-load failure; thread exited
-  };
-
-  struct Worker {
-    int rank = 0;
-    std::unique_ptr<nn::Module> model;
-    std::unique_ptr<ShardedAdamW> opt;
-    std::thread thread;
-    std::atomic<int> phase{static_cast<int>(Phase::kLoading)};
-    std::atomic<int64_t> step_reached{0};
-    util::Status status;  // written before the terminal phase store
-  };
-
-  util::Status WriteInitialCheckpoint();
-  void SpawnEpoch(const std::string& ckpt_path);
-  /// Returns true when the run is over (success or fatal); false to
-  /// respawn another epoch.
-  bool MonitorEpoch(util::Status* verdict);
-  void JoinAll();
-  void AbortTransport();
-  int64_t WorkerHeartbeats(int rank) const;
-
-  void WorkerMain(int rank, int my_epoch, const std::string& ckpt_path);
-
-  void AddIncident(DistIncident incident);
-
-  DistTrainerOptions options_;
-  ModelFactory factory_;
-  DistLossFn loss_fn_;
-
-  std::unique_ptr<CommHub> hub_;
-  std::unique_ptr<SocketServer> server_;  // socket transport only
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<int> epoch_{0};
-  int recoveries_ = 0;
+  /// Runs each rank as a thread of this process (RankLauncher).
+  class ThreadLauncher;
 
   std::vector<StepRecord> history_;  // written by rank 0's worker thread
-  mutable std::mutex incidents_mu_;
-  std::vector<DistIncident> incidents_;
-  obs::TelemetryAggregator telemetry_;
+  std::unique_ptr<ThreadLauncher> launcher_;
+  GangSupervisor supervisor_;  // after launcher_: stops it on destruction
 };
 
 }  // namespace llm::train::dist

@@ -10,14 +10,15 @@
 // half-written stream on the wire — exactly what the framing, fencing,
 // and reconnect machinery exist for.
 //
-// Recovery is gang-style, same as DistTrainer: on any incident (a worker
-// dies by signal, exits nonzero, flatlines its heartbeats, or its
-// transport connection stays dirtily down past the disconnect grace) the
-// coordinator SIGKILLs every survivor, reaps them, bumps the fencing
-// epoch, and respawns the full world from the newest checkpoint that
-// validates. Replay is bit-exact, so a faulted run finishes with exactly
-// the weights of an unfaulted one — dist_socket_test asserts this by
-// loading the final checkpoints of both.
+// Recovery is the GangSupervisor's (gang_supervisor.h), the same one
+// DistTrainer runs over threads: on any incident (a worker dies by signal,
+// exits nonzero, flatlines its heartbeats, or its transport connection
+// stays dirtily down past the disconnect grace) it fences the epoch, the
+// process launcher SIGKILLs and reaps every survivor, and the full world
+// respawns from the newest checkpoint that validates. Replay is
+// bit-exact, so a faulted run finishes with exactly the weights of an
+// unfaulted one — dist_socket_test asserts this by loading the final
+// checkpoints of both.
 //
 // Worker exit codes (the coordinator's side of the contract):
 //   0  loop ran to max_steps
@@ -27,18 +28,15 @@
 #ifndef TFMR_TRAIN_DIST_PROC_GROUP_H_
 #define TFMR_TRAIN_DIST_PROC_GROUP_H_
 
-#include <sys/types.h>
-
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/telemetry.h"
-#include "train/dist/dist_trainer.h"
-#include "train/dist/socket_transport.h"
+#include "train/dist/gang_supervisor.h"
+#include "train/dist/worker_loop.h"
 #include "train/optimizer.h"
 #include "util/status.h"
 
@@ -102,54 +100,29 @@ class ProcGroupCoordinator {
   /// demo). False when the rank has no live process.
   bool KillRank(int rank);
 
-  int recoveries() const { return recoveries_; }
-  const std::vector<DistIncident>& incidents() const { return incidents_; }
-  std::string FormatIncidents() const;
+  int recoveries() const { return supervisor_.recoveries(); }
+  const std::vector<DistIncident>& incidents() const {
+    return supervisor_.incidents();
+  }
+  std::string FormatIncidents() const { return supervisor_.FormatIncidents(); }
 
   /// One structured report per incident, finalized after the recovery it
   /// triggered (so the merged timeline interleaves the victim's last
   /// shipped events with the coordinator's detection + respawn events).
   const std::vector<obs::IncidentReport>& incident_reports() const {
-    return reports_;
+    return supervisor_.incident_reports();
   }
   /// The gang aggregator: every shipped unit and harvested postmortem.
-  const obs::TelemetryAggregator& telemetry() const { return telemetry_; }
+  const obs::TelemetryAggregator& telemetry() const {
+    return supervisor_.telemetry();
+  }
 
  private:
-  util::Status WriteInitialCheckpoint();
-  util::Status PickCheckpoint(std::string* path);
-  util::Status SpawnWorkers(const std::string& ckpt_path, int64_t epoch);
-  /// Returns true when the run is over; false to recover and respawn.
-  bool MonitorGang(util::Status* verdict, int64_t epoch);
-  void KillAllWorkers();
-  std::string PostmortemDir() const;
-  /// Reads, ingests, archives, and deletes every rank's postmortem file;
-  /// marks `report` when the victim's dump was among them.
-  void HarvestPostmortems(obs::IncidentReport* report);
-  /// Splices the coordinator's own flight delta into the gang timeline,
-  /// attaches the merged window to `report`, emits the DIST_INCIDENT
-  /// line, and files the report.
-  void FinalizeReport(obs::IncidentReport report);
+  /// Runs each rank as a fork+exec'd worker_binary (RankLauncher).
+  class ProcessLauncher;
 
-  ProcGroupOptions options_;
-  ModelFactory factory_;
-  AdamWOptions adamw_;
-  std::unique_ptr<SocketServer> server_;
-  int recoveries_ = 0;
-  std::vector<DistIncident> incidents_;
-  obs::TelemetryAggregator telemetry_;
-  std::vector<obs::IncidentReport> reports_;
-  /// Coordinator-side flight-delta cursor (events already spliced into
-  /// the gang timeline).
-  uint64_t coord_shipped_ticket_ = 0;
-  /// A recover-path incident's report awaits the respawn before
-  /// finalizing, so its timeline contains the recovery events.
-  bool pending_report_ = false;
-  obs::IncidentReport pending_;
-
-  mutable std::mutex pids_mu_;
-  std::vector<pid_t> pids_;        // guarded by pids_mu_; -1 = reaped
-  std::vector<bool> done_;         // guarded by pids_mu_
+  std::unique_ptr<ProcessLauncher> launcher_;
+  GangSupervisor supervisor_;  // after launcher_: stops it on destruction
 };
 
 }  // namespace llm::train::dist

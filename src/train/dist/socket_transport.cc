@@ -108,10 +108,7 @@ void SocketServer::Stop() {
                 std::make_move_iterator(graveyard_.end()));
     graveyard_.clear();
   }
-  for (auto& conn : reap) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
+  for (auto& conn : reap) ReapConn(*conn);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -127,11 +124,7 @@ void SocketServer::AcceptLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       reap.swap(graveyard_);
     }
-    for (auto& conn : reap) {
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->fd >= 0) ::close(conn->fd);
-      conn->fd = -1;
-    }
+    for (auto& conn : reap) ReapConn(*conn);
 
     struct pollfd pfd{listen_fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 50);
@@ -257,6 +250,13 @@ void SocketServer::ReaderLoop(std::shared_ptr<Conn> conn) {
   }
   // The fd is closed by whoever joins this conn (Stop/Reset/reap); a
   // replaced conn's fd must outlive the reader to avoid fd-number reuse.
+}
+
+void SocketServer::ReapConn(Conn& conn) {
+  if (conn.reader.joinable()) conn.reader.join();
+  std::lock_guard<std::mutex> lock(conn.write_mu);
+  if (conn.fd >= 0) ::close(conn.fd);
+  conn.fd = -1;
 }
 
 void SocketServer::SendOn(const std::shared_ptr<Conn>& conn,
@@ -472,11 +472,7 @@ void SocketServer::Reset(int64_t epoch) {
     graveyard_.clear();
     ranks_.assign(static_cast<size_t>(world_size_), RankState{});
   }
-  for (auto& conn : reap) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
+  for (auto& conn : reap) ReapConn(*conn);
 }
 
 int64_t SocketServer::HeartbeatCount(int rank) const {

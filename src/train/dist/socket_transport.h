@@ -149,6 +149,11 @@ class SocketServer {
   void HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   /// Sends under the connection's write mutex; counts frames/bytes.
   void SendOn(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  /// Joins a retired connection's reader, then closes its fd under the
+  /// write mutex, so a SendOn from another thread (the accept loop's
+  /// hello-ack, another rank's reader pushing a result) never uses the fd
+  /// as it closes or after.
+  static void ReapConn(Conn& conn);
   /// Sends `frame` to every present contributor of `round` (call with
   /// mu_ held; sends happen after collecting the live conns).
   void FailRoundLocked(int64_t seq, Round* round, int32_t code,

@@ -190,6 +190,11 @@ TEST(DistChaosTest, SeededFaultStormsAlwaysRecoverToTheExactResult) {
     if (kills.fired > 0) {
       EXPECT_GE(dist.recoveries(), 1) << "kills fired: " << kills.fired;
     }
+    // Incident-report conservation: every incident recovered, and each
+    // filed exactly one structured report.
+    EXPECT_EQ(dist.incident_reports().size(),
+              static_cast<size_t>(dist.recoveries()))
+        << dist.FormatIncidents();
     total_recoveries += dist.recoveries();
     total_kills += kills.fired;
     total_drops += counts[static_cast<size_t>(FaultSite::kCommDrop)].fired;
@@ -304,6 +309,9 @@ TEST(DistChaosTest, SocketWireFaultStormsRecoverToTheExactResult) {
       if (dist.telemetry().HasRank(r)) telemetry_ranks_seen[r] = true;
     }
     EXPECT_GT(ingested, 0) << "no telemetry survived the storm";
+    EXPECT_EQ(dist.incident_reports().size(),
+              static_cast<size_t>(dist.recoveries()))
+        << dist.FormatIncidents();
     total_recoveries += dist.recoveries();
     for (int i = 0; i < 4; ++i) {
       fired[i] += counts[static_cast<size_t>(sites[i])].fired;

@@ -531,8 +531,13 @@ TEST(DistSocketTelemetryTest, ShippingIsBitExactAndCheap) {
               "-> overhead %.3f%%\n",
               ship_us, bytes / kReps, step_ms,
               100.0 * (ship_us / 1000.0) / step_ms);
+  // The 2% budget is a Release timing: sanitizer instrumentation slows
+  // capture+encode and the step by different factors, so it is checked
+  // only in builds without it.
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
   EXPECT_LT(ship_us / 1000.0, 0.02 * step_ms)
       << "telemetry capture+encode costs more than 2% of a step";
+#endif
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "nn/layers.h"
 #include "obs/flight_recorder.h"
+#include "obs/telemetry.h"
 #include "train/checkpoint.h"
 #include "train/dist/comm.h"
 #include "train/dist/dist_trainer.h"
@@ -496,6 +497,15 @@ TEST_F(DistTest, KilledWorkerIsRecoveredFromCheckpointMidRun) {
   EXPECT_EQ(dist.incidents()[0].kind, "worker-death");
   EXPECT_NE(dist.incidents()[0].action.find("respawn"), std::string::npos);
 
+  // One structured report per incident, as the process backend files.
+  ASSERT_EQ(dist.incident_reports().size(), 1u);
+  const obs::IncidentReport& report = dist.incident_reports()[0];
+  EXPECT_EQ(report.kind, "worker-death");
+  EXPECT_EQ(report.rank, dist.incidents()[0].rank);
+  EXPECT_EQ(report.recovery, 1);
+  EXPECT_EQ(report.action, dist.incidents()[0].action);
+  EXPECT_FALSE(report.timeline.empty());
+
   // Deterministic replay: the faulted run ends bit-identical to the
   // unfaulted one — same weights on every replica, same loss curve.
   EXPECT_EQ(MaxParamDiff(*reference.model(0), *dist.model(0)), 0.0f);
@@ -596,6 +606,11 @@ TEST_F(DistTest, RecoveryBudgetExhaustionSurfacesIncidentLog) {
   EXPECT_NE(s.message().find("incident log"), std::string::npos) << s;
   EXPECT_NE(s.message().find("worker-death"), std::string::npos) << s;
   EXPECT_EQ(dist.incidents().size(), 3u);  // 2 recoveries + the fatal one
+  // The fatal incident files its report too, without waiting for a respawn.
+  ASSERT_EQ(dist.incident_reports().size(), 3u);
+  EXPECT_EQ(dist.incident_reports().back().action,
+            "none (recovery budget exhausted)");
+  EXPECT_EQ(dist.incident_reports().back().recovery, 2);
 }
 
 TEST_F(DistTest, ResumesFromExistingCheckpointDir) {

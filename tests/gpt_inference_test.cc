@@ -170,7 +170,7 @@ TEST(GptInferenceTest, GreedyCachedGenerationMatchesUncached) {
   gopts.sampler.temperature = 0.0f;
   util::Rng r1(1), r2(1);
   auto slow = sample::Generate(model, prefix, gopts, &r1);
-  auto fast = GenerateCached(model, prefix, 8, 0.0f, &r2);
+  auto fast = sample::GenerateCached(model, prefix, gopts, &r2);
   EXPECT_EQ(slow, fast);
 }
 
@@ -179,9 +179,12 @@ TEST(GptInferenceTest, StopTokenHonoured) {
   GPTModel model(ConfigFor({true, true, false, false, 0,
                             Activation::kGelu}),
                  &rng);
+  sample::GenerateOptions gopts;
+  gopts.max_new_tokens = 10;
+  gopts.sampler.temperature = 1.0f;
+  gopts.stop_token = 4;
   util::Rng gen_rng(2);
-  auto out = GenerateCached(model, {1}, 10, 1.0f, &gen_rng,
-                            /*stop_token=*/4);
+  auto out = sample::GenerateCached(model, {1}, gopts, &gen_rng);
   if (out.size() < 10u) EXPECT_EQ(out.back(), 4);
 }
 
