@@ -3,12 +3,99 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/decode_rows.h"
 #include "obs/scoped_timer.h"
 
 namespace llm::nn {
 
 namespace {
+
+/// y = LN(x) for one row of length C. Safe in-place (y == x).
+inline void ApplyLayerNormRow(const LayerNorm& ln, const float* x, int64_t c,
+                              float* y) {
+  double mean = 0;
+  for (int64_t i = 0; i < c; ++i) mean += x[i];
+  mean /= static_cast<double>(c);
+  double var = 0;
+  for (int64_t i = 0; i < c; ++i) {
+    const double d = x[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<double>(c);
+  const float rstd = 1.0f / std::sqrt(static_cast<float>(var) + ln.eps());
+  const core::Tensor& gamma = ln.gamma().value();
+  const core::Tensor& beta = ln.beta().value();
+  for (int64_t i = 0; i < c; ++i) {
+    y[i] = gamma[i] * (x[i] - static_cast<float>(mean)) * rstd + beta[i];
+  }
+}
+
+/// y = x W + b for a single row (y must not alias x). Accumulates over the
+/// input index in ascending order; zero inputs are skipped (a no-op on the
+/// value: adding ±0 to a finite accumulator that is never -0 cannot change
+/// it, so the batched kernels may keep those terms and still match).
+inline void ApplyLinearRow(const Linear& linear, const float* x, float* y) {
+  const int64_t in = linear.in_features();
+  const int64_t out = linear.out_features();
+  for (int64_t o = 0; o < out; ++o) y[o] = 0.0f;
+  const float* w = linear.weight().value().data();  // [in, out]
+  for (int64_t i = 0; i < in; ++i) {
+    const float xv = x[i];
+    if (xv == 0.0f) continue;
+    const float* row = w + i * out;
+    for (int64_t o = 0; o < out; ++o) y[o] += xv * row[o];
+  }
+  if (linear.has_bias()) {
+    const core::Tensor& b = linear.bias().value();
+    for (int64_t o = 0; o < out; ++o) y[o] += b[o];
+  }
+}
+
+inline float ActivationFn(Activation act, float v) {
+  switch (act) {
+    case Activation::kRelu:
+      return v > 0.0f ? v : 0.0f;
+    case Activation::kGelu: {
+      constexpr float kScale = 0.7978845608028654f;  // sqrt(2/pi)
+      const float cube = 0.044715f * v * v * v;
+      return 0.5f * v * (1.0f + std::tanh(kScale * (v + cube)));
+    }
+    case Activation::kTanh:
+      return std::tanh(v);
+  }
+  LLM_CHECK(false);
+  return v;
+}
+
+/// Single-head causal attention over one sequence's cache: softmax(q·K/√d)·V
+/// for head h at position t, reading rows [lo, t] of the [*, C] cache slabs.
+/// Writes the head's output slice o[0, hd). `scores` is caller scratch of
+/// at least t+1 floats.
+inline void AttendHeadRow(const float* q, const float* keys,
+                          const float* values, int64_t t, int64_t lo,
+                          int64_t c_total, int64_t h, int64_t hd,
+                          float inv_sqrt, float* scores, float* o) {
+  const int64_t off = h * hd;
+  float maxv = -1e30f;
+  for (int64_t j = lo; j <= t; ++j) {
+    const float* k = keys + j * c_total + off;
+    float s = 0.0f;
+    for (int64_t c = 0; c < hd; ++c) s += q[c] * k[c];
+    s *= inv_sqrt;
+    scores[j] = s;
+    maxv = std::max(maxv, s);
+  }
+  float sum = 0.0f;
+  for (int64_t j = lo; j <= t; ++j) {
+    scores[j] = std::exp(scores[j] - maxv);
+    sum += scores[j];
+  }
+  const float inv = 1.0f / sum;
+  for (int64_t j = lo; j <= t; ++j) {
+    const float p = scores[j] * inv;
+    const float* v = values + j * c_total + off;
+    for (int64_t c = 0; c < hd; ++c) o[c] += p * v[c];
+  }
+}
 
 // Four-wide SSE-width float vector via the GCC/Clang vector extension.
 // Element-wise + and * on these are ordinary IEEE single-precision ops, so
@@ -35,8 +122,8 @@ constexpr int64_t kOT = 8;
 
 /// Y[b] = X[b] W + bias for B contiguous rows (X stride = in_features,
 /// Y stride = out_features). Per-(b, o) accumulation order is ascending
-/// over i, exactly like detail::ApplyLinearRow; terms with X[b][i] == 0
-/// are value-neutral (see decode_rows.h), so lanes need not skip them
+/// over i, exactly like ApplyLinearRow; terms with X[b][i] == 0 are
+/// value-neutral (see ApplyLinearRow), so lanes need not skip them
 /// individually — only an all-lanes-zero input column is skipped.
 void BatchedLinear(const Linear& linear, const float* X, float* Y,
                    int64_t B) {
@@ -99,7 +186,7 @@ void BatchedLinear(const Linear& linear, const float* X, float* Y,
   }
   // Remainder lanes: plain per-row path (identical order by definition).
   for (int64_t b = B - B % kBT; b < B; ++b) {
-    detail::ApplyLinearRow(linear, X + b * in, Y + b * out);
+    ApplyLinearRow(linear, X + b * in, Y + b * out);
   }
   if (linear.has_bias()) {
     const core::Tensor& bias = linear.bias().value();
@@ -113,11 +200,12 @@ void BatchedLinear(const Linear& linear, const float* X, float* Y,
 // Lane width of the transposed-activation unembedding kernel.
 constexpr int64_t kLanes = 8;
 
-/// logits[b][v] = normed[b] . E[v] for the tied unembedding. The single-
-/// sequence path is a serial FP dependency chain per (b, v); here the B
-/// chains run in interleaved lanes over a transposed copy of the rows, so
-/// packed ops run across sequences while each chain keeps its ascending-c
-/// order (and a*b == b*a bit-wise).
+/// logits[b][v] = normed[b] . E[v] for the tied unembedding: a serial FP
+/// dependency chain per (b, v), ascending over c. A group of two or more
+/// lanes runs its chains in interleaved lanes over a transposed copy of the
+/// rows, so packed ops run across sequences while each chain keeps its
+/// order (and a*b == b*a bit-wise). A group of one lane runs its chain
+/// alone rather than carry seven padding lanes.
 void BatchedTiedUnembed(const core::Tensor& e, const float* normed,
                         SeqStepInput* seqs, int64_t B, int64_t C, int64_t V,
                         std::vector<float>* xt_buf) {
@@ -131,6 +219,17 @@ void BatchedTiedUnembed(const core::Tensor& e, const float* normed,
   }
   for (int64_t g = 0; g < groups; ++g) {
     const int64_t lanes = std::min(kLanes, B - g * kLanes);
+    if (lanes == 1) {
+      const float* x = normed + g * kLanes * C;
+      float* logits = seqs[g * kLanes].logits;
+      for (int64_t v = 0; v < V; ++v) {
+        const float* row = e.data() + v * C;
+        float s = 0.0f;
+        for (int64_t c = 0; c < C; ++c) s += x[c] * row[c];
+        logits[v] = s;
+      }
+      continue;
+    }
     const float* xg = xt + g * kLanes;
     for (int64_t v = 0; v < V; ++v) {
       const float* row = e.data() + v * C;
@@ -208,7 +307,7 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
     const float* attn_in = x;
     if (block->pre_layernorm()) {
       for (int64_t b = 0; b < B; ++b) {
-        detail::ApplyLayerNormRow(block->ln1(), x + b * C, C, normed + b * C);
+        ApplyLayerNormRow(block->ln1(), x + b * C, C, normed + b * C);
       }
       attn_in = normed;
     }
@@ -228,7 +327,7 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
       const int64_t lo =
           window > 0 ? std::max<int64_t>(0, t - window + 1) : int64_t{0};
       for (int64_t h = 0; h < H; ++h) {
-        detail::AttendHeadRow(q + h * hd, kv.keys, kv.values, t, lo, C, h,
+        AttendHeadRow(q + h * hd, kv.keys, kv.values, t, lo, C, h,
                               hd, inv_sqrt, scratch->scores.data(),
                               ab + h * hd);
       }
@@ -237,7 +336,7 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
     for (int64_t i = 0; i < B * C; ++i) x[i] += proj[i];
     if (!block->pre_layernorm()) {
       for (int64_t b = 0; b < B; ++b) {
-        detail::ApplyLayerNormRow(block->ln1(), x + b * C, C, x + b * C);
+        ApplyLayerNormRow(block->ln1(), x + b * C, C, x + b * C);
       }
     }
 
@@ -252,27 +351,27 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
       const float* ffn_in = x;
       if (block->pre_layernorm()) {
         for (int64_t b = 0; b < B; ++b) {
-          detail::ApplyLayerNormRow(block->ln2(), x + b * C, C,
+          ApplyLayerNormRow(block->ln2(), x + b * C, C,
                                     normed + b * C);
         }
         ffn_in = normed;
       }
       BatchedLinear(mlp->fc_in(), ffn_in, hidden, B);
       for (int64_t i = 0; i < B * hid; ++i) {
-        hidden[i] = detail::ActivationFn(mlp->activation(), hidden[i]);
+        hidden[i] = ActivationFn(mlp->activation(), hidden[i]);
       }
       BatchedLinear(mlp->fc_out(), hidden, mlp_out, B);
       for (int64_t i = 0; i < B * C; ++i) x[i] += mlp_out[i];
       if (!block->pre_layernorm()) {
         for (int64_t b = 0; b < B; ++b) {
-          detail::ApplyLayerNormRow(block->ln2(), x + b * C, C, x + b * C);
+          ApplyLayerNormRow(block->ln2(), x + b * C, C, x + b * C);
         }
       }
     }
   }
 
   for (int64_t b = 0; b < B; ++b) {
-    detail::ApplyLayerNormRow(model.final_layernorm(), x + b * C, C,
+    ApplyLayerNormRow(model.final_layernorm(), x + b * C, C,
                               normed + b * C);
   }
   if (cfg.tie_embeddings) {

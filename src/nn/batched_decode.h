@@ -1,30 +1,40 @@
-// Fused batched cached-attention decode step for the serving runtime.
+// The cached-attention decode step: one call advances n sequences by one
+// token each through a single pass over the model weights. It is the only
+// decode kernel: the serving runtime calls it with every active sequence,
+// and GptInferenceSession (nn/gpt_inference.h) with one.
 //
-// One call advances B concurrent sequences by one token each through a
-// single pass over the model weights. On a machine with few cores this —
-// not thread fan-out — is where continuous batching earns its throughput:
+// On a machine with few cores this — not thread fan-out — is where
+// continuous batching earns its throughput:
 //
 //  * every weight row (QKV / proj / MLP / unembedding) is streamed from
 //    memory once per *batch* instead of once per *sequence*, and
-//  * the tied-unembedding dot products, which in the single-sequence path
-//    are serial floating-point dependency chains (strict IEEE forbids the
+//  * the tied-unembedding dot products, which for a lone sequence are
+//    serial floating-point dependency chains (strict IEEE forbids the
 //    compiler from reassociating them), are interleaved across the batch
 //    lane, turning a latency-bound loop into independent, vectorizable
 //    accumulator lanes.
 //
 // Bit-exactness: for each sequence the accumulation order of every output
-// scalar is identical to GptDecodeStep / GptInferenceSession::Append
-// (ascending over the reduced index), so per-sequence results are
-// bit-identical regardless of batch composition — the property the
-// scheduler's determinism contract (and gpt_inference_test) relies on.
+// scalar is the same at every batch width (ascending over the reduced
+// index), so a sequence's logits do not depend on what shares its batch,
+// and equal those of a one-lane call such as GptInferenceSession::Append.
 #ifndef TFMR_NN_BATCHED_DECODE_H_
 #define TFMR_NN_BATCHED_DECODE_H_
 
 #include <vector>
 
-#include "nn/gpt_inference.h"
+#include "nn/transformer.h"
 
 namespace llm::nn {
+
+/// One layer's key/value cache storage for one sequence: row t of each slab
+/// holds position t's vectors, [capacity_rows, d_model] flattened. The
+/// decode step writes row `position` and reads rows [0, position]; callers
+/// guarantee capacity_rows > position.
+struct KvLayerView {
+  float* keys = nullptr;
+  float* values = nullptr;
+};
 
 /// One sequence's contribution to a batched decode step.
 struct SeqStepInput {
@@ -54,7 +64,8 @@ struct BatchedScratch {
 
 /// Advances each of the `n` sequences by one token in a single fused pass.
 /// Re-entrant: concurrent calls are safe provided each call uses disjoint
-/// sequences and its own scratch.
+/// sequences and its own scratch. Positions must be fed in order,
+/// 0 <= position < max_seq_len.
 void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
                        BatchedScratch* scratch);
 

@@ -12,9 +12,10 @@
 // the other lanes.
 //
 // Determinism contract: each sequence samples from its own seeded RNG over
-// logits that are bit-identical to a dedicated GptInferenceSession
-// (nn/batched_decode.h), so a request's output is a pure function of the
-// request — independent of what else shares the batch.
+// logits that do not depend on the batch width (nn/batched_decode.h) and so
+// equal those of a dedicated GptInferenceSession, a one-lane call of the
+// same step. A request's output is a pure function of the request —
+// independent of what else shares the batch.
 //
 // Failure isolation: every sampled lane passes a numeric-health check
 // before its logits feed the sampler. A lane whose logits come back

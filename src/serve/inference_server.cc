@@ -206,6 +206,14 @@ util::StatusOr<RequestId> InferenceServer::Submit(GenerateRequest request) {
   if (request.max_new_tokens < 0) {
     return util::Status::InvalidArgument("max_new_tokens must be >= 0");
   }
+  // A NaN temperature, or one whose reciprocal overflows, makes every
+  // sampling weight NaN, and the sampler would abort the worker.
+  const float temperature = request.sampler.temperature;
+  if (std::isnan(temperature) ||
+      (temperature > 0.0f && !std::isfinite(1.0f / temperature))) {
+    return util::Status::InvalidArgument(
+        "temperature must be a number whose reciprocal is finite");
+  }
 
   auto state = std::make_shared<RequestState>();
   state->id = next_id_.fetch_add(1, std::memory_order_relaxed);

@@ -5,8 +5,8 @@
 // free-list pop and retiring it is a push — the steady-state serving loop
 // never touches the allocator, however many requests flow through.
 //
-// Slot layout mirrors GptInferenceSession's private slab: per slot,
-// n_layer x {keys, values} planes of [max_seq_len, d_model] rows. A leased
+// Slot layout: per slot, n_layer x {keys, values} planes of
+// [max_seq_len, d_model] rows, read through nn::KvLayerView. A leased
 // slot's rows are not zeroed on Acquire; the decode step overwrites row
 // `position` before reading it, so stale rows from the previous tenant are
 // never observed.
@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/gpt_inference.h"
+#include "nn/batched_decode.h"
 #include "nn/transformer.h"
 
 namespace llm::serve {

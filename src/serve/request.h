@@ -4,8 +4,9 @@
 // plus the prompt and a per-request RNG seed. Seeding the sampler per
 // request (rather than sharing one stream across the batch) is what makes
 // a request's output independent of batch composition: together with the
-// bit-exact batched decode step (nn/batched_decode.h), a request returns
-// exactly what a dedicated GptInferenceSession would have produced.
+// decode step, whose logits do not depend on the batch width
+// (nn/batched_decode.h), a request returns exactly what a dedicated
+// GptInferenceSession — the same step with one lane — would have produced.
 #ifndef TFMR_SERVE_REQUEST_H_
 #define TFMR_SERVE_REQUEST_H_
 

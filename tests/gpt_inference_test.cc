@@ -60,21 +60,26 @@ TEST_P(InferenceVariants, MatchesFullForwardExactly) {
 // The serving runtime's fused batched step must be bit-identical per
 // sequence to the single-sequence session, for every architecture variant
 // and regardless of batch composition (sequences here differ in content,
-// length, and admission order).
+// length, and admission order). The nine prompts have lengths 1 to 9, so
+// the first step is a full 8-lane group plus a lone lane, and as they
+// retire every batch width from 9 down to 1 is compared at its step.
 TEST_P(InferenceVariants, BatchedStepMatchesSessionBitExactly) {
   util::Rng rng(21);
   nn::GPTModel model(ConfigFor(GetParam()), &rng);
   const nn::GPTConfig& cfg = model.config();
   const std::vector<std::vector<int64_t>> prompts = {
-      {3, 1, 4, 1, 5}, {2, 7}, {9, 9, 8, 2, 6, 5, 3}, {0}, {11, 16, 13}};
+      {3, 1, 4, 1, 5}, {2, 7}, {9, 9, 8, 2, 6, 5, 3}, {0}, {11, 16, 13},
+      {8, 4, 15, 2}, {6, 10, 1, 14, 7, 12}, {5, 3, 16, 0, 9, 11, 4, 2},
+      {13, 7, 1, 6, 15, 8, 10, 3, 12}};
   const auto B = static_cast<int64_t>(prompts.size());
 
-  // Reference: one single-sequence session per prompt.
-  std::vector<std::vector<float>> want;
+  // Reference: one single-sequence session per prompt, its logits kept
+  // after every token.
+  std::vector<std::vector<std::vector<float>>> want;
   for (const auto& p : prompts) {
     GptInferenceSession session(&model);
-    for (int64_t t : p) session.Append(t);
-    want.push_back(session.logits());
+    want.emplace_back();
+    for (int64_t t : p) want.back().push_back(session.Append(t));
   }
 
   // Batched: all sequences advance in lockstep; shorter ones retire early
@@ -99,6 +104,7 @@ TEST_P(InferenceVariants, BatchedStepMatchesSessionBitExactly) {
   for (const auto& p : prompts) longest = std::max(longest, p.size());
   for (size_t step = 0; step < longest; ++step) {
     std::vector<nn::SeqStepInput> batch;
+    std::vector<size_t> members;
     for (size_t b = 0; b < static_cast<size_t>(B); ++b) {
       if (step >= prompts[b].size()) continue;  // retired
       nn::SeqStepInput in;
@@ -107,14 +113,16 @@ TEST_P(InferenceVariants, BatchedStepMatchesSessionBitExactly) {
       in.layers = views[b].data();
       in.logits = got[b].data();
       batch.push_back(in);
+      members.push_back(b);
     }
     nn::BatchedDecodeStep(model, batch.data(),
                           static_cast<int64_t>(batch.size()), &scratch);
-  }
-  for (size_t b = 0; b < static_cast<size_t>(B); ++b) {
-    for (size_t v = 0; v < want[b].size(); ++v) {
-      ASSERT_EQ(got[b][v], want[b][v])
-          << "sequence " << b << " vocab " << v << " not bit-identical";
+    for (size_t b : members) {
+      for (size_t v = 0; v < got[b].size(); ++v) {
+        ASSERT_EQ(got[b][v], want[b][step][v])
+            << "sequence " << b << " step " << step << " (batch width "
+            << batch.size() << ") vocab " << v << " not bit-identical";
+      }
     }
   }
 }

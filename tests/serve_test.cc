@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -303,6 +304,14 @@ TEST(InferenceServerTest, SubmitValidationAndZeroLengthRequests) {
             util::StatusCode::kInvalidArgument);  // token out of vocabulary
   EXPECT_EQ(server.Submit(MakeRequest({-1}, 1)).status().code(),
             util::StatusCode::kInvalidArgument);
+  // Temperatures whose sampling weights would all be NaN.
+  for (float temperature : {std::nanf(""), 1e-39f}) {
+    GenerateRequest bad = MakeRequest({1, 2}, 1);
+    bad.sampler.temperature = temperature;
+    EXPECT_EQ(server.Submit(bad).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "temperature " << temperature;
+  }
 
   GenerateRequest empty_gen = MakeRequest({1, 2}, 1, 0);
   RequestResult result = server.GenerateBlocking(empty_gen);
