@@ -224,10 +224,7 @@ int main(int argc, char** argv) {
   }
   g_step.store(init.next_step);
 
-  SocketCommOptions sock_options;
-  sock_options.jitter_seed = args.seed ^ 0x50c7e7ULL;
-  SocketComm comm(args.rank, args.world, args.address, args.epoch,
-                  sock_options);
+  SocketComm comm(args.rank, args.world, args.address, args.epoch);
 
   WorkerLoopOptions loop;
   loop.rank = args.rank;

@@ -122,13 +122,18 @@ std::vector<int64_t> GenerateWithSession(nn::GptInferenceSession* session,
   const std::vector<float>* logits = nullptr;
   for (int64_t t : prefix) logits = &session->Append(t);
   std::vector<int64_t> out;
+  if (session->position() >= max_len) return out;
   for (int64_t i = 0; i < options.max_new_tokens; ++i) {
-    if (session->position() >= max_len) break;
     const int64_t next =
         SampleFromLogits(logits->data(), vocab, options.sampler, rng);
     out.push_back(next);
-    if (next == options.stop_token) break;
-    if (session->position() < max_len) logits = &session->Append(next);
+    // Feed `next` only when a later step samples from its logits: not
+    // after a stop, the last allowed token, or the window's last slot.
+    if (next == options.stop_token || i + 1 == options.max_new_tokens ||
+        session->position() + 1 >= max_len) {
+      break;
+    }
+    logits = &session->Append(next);
   }
   return out;
 }

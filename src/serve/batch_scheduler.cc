@@ -295,12 +295,14 @@ void BatchScheduler::Tick(WorkerPool* workers,
       }
       out->tokens.push_back({seq.state, seq.sampled});
       // Finish precedence mirrors the single-stream generation loop:
-      // stop token, then length, then window exhaustion.
+      // stop token, then length, then window exhaustion. A token that
+      // would fill the window's last slot is never fed: no step would
+      // sample from its logits.
       if (seq.sampled == req.stop_token) {
         Retire(slot, FinishReason::kStop, util::Status::OK(), out);
       } else if (seq.generated >= req.max_new_tokens) {
         Retire(slot, FinishReason::kLength, util::Status::OK(), out);
-      } else if (seq.pos >= max_len) {
+      } else if (seq.pos + 1 >= max_len) {
         Retire(slot, FinishReason::kWindow, util::Status::OK(), out);
       } else {
         seq.next_token = seq.sampled;

@@ -8,6 +8,23 @@
 #include "util/fault.h"
 
 namespace llm::train::dist {
+namespace {
+
+/// Completed rounds kept for late readers. A rank still reading round s
+/// has not deposited into s+1, so s+1 cannot complete: its round is always
+/// the newest completed one, and two leave a margin.
+constexpr size_t kCompletedKept = 2;
+
+uint32_t Checksum(const std::vector<float>& buf) {
+  return util::Crc32(buf.data(), buf.size() * sizeof(float));
+}
+
+util::Status Poisoned(int64_t seq) {
+  return util::Status::Cancelled("collective " + std::to_string(seq) +
+                                 " poisoned: a rank's wait expired");
+}
+
+}  // namespace
 
 CommHub::CommHub(int world_size)
     : world_size_(world_size),
@@ -42,18 +59,64 @@ void CommHub::ShipTelemetry(int rank, const std::vector<uint8_t>& blob) {
   if (sink) sink(rank, blob);
 }
 
-util::StatusOr<std::vector<std::vector<float>>> CommHub::Exchange(
-    int rank, int64_t seq, std::vector<float> data,
-    std::chrono::milliseconds timeout) {
+void CommHub::SetFrontEnd(FrontEnd* front_end) { front_end_.store(front_end); }
+
+std::optional<CommHub::Verdict> CommHub::SettledLocked(int64_t seq) const {
+  if (aborted_) {
+    return Verdict{util::Status::Cancelled(
+                       "collective " + std::to_string(seq) +
+                       " aborted (epoch teardown)"),
+                   nullptr};
+  }
+  if (auto done = done_.find(seq); done != done_.end()) {
+    return Verdict{util::Status::OK(), done->second};
+  }
+  auto it = rounds_.find(seq);
+  if (it != rounds_.end() && !it->second.failed.ok()) {
+    return Verdict{it->second.failed, nullptr};
+  }
+  return std::nullopt;
+}
+
+CommHub::Round& CommHub::OpenLocked(int64_t seq) {
+  Round& round = rounds_[seq];
+  if (round.contrib.empty()) {
+    round.contrib.resize(static_cast<size_t>(world_size_));
+    round.crc.resize(static_cast<size_t>(world_size_), 0);
+    round.present.resize(static_cast<size_t>(world_size_), false);
+  }
+  return round;
+}
+
+std::vector<int> CommHub::SettleLocked(Round* round, util::Status status) {
+  round->failed = std::move(status);
+  cv_.notify_all();
+  std::vector<int> waiting;
+  for (int r = 0; r < world_size_; ++r) {
+    if (round->present[static_cast<size_t>(r)]) waiting.push_back(r);
+  }
+  return waiting;
+}
+
+void CommHub::Notify(int64_t seq, const Verdict& verdict,
+                     const std::vector<int>& waiting) {
+  FrontEnd* front_end = front_end_.load();
+  if (front_end != nullptr && !waiting.empty()) {
+    front_end->RoundSettled(seq, verdict, waiting);
+  }
+}
+
+std::optional<CommHub::Verdict> CommHub::Deposit(int rank, int64_t seq,
+                                                 std::vector<float> data,
+                                                 bool intact) {
   LLM_CHECK(rank >= 0 && rank < world_size_);
   // Fault sites fire outside the hub lock: the injector's fire listener
   // (the obs bridge) must be free to record without lock nesting.
   const bool drop = util::MaybeInjectFault(util::FaultSite::kCommDrop);
   const bool corrupt = util::MaybeInjectFault(util::FaultSite::kCommCorrupt);
-  // Checksum the payload as handed to the transport; corruption below
-  // models a transport-level bit flip the checksum must catch.
-  const uint32_t crc =
-      util::Crc32(data.data(), data.size() * sizeof(float));
+  // Checksum the payload as handed to the hub; corruption below models a
+  // transport-level bit flip the checksum must catch.
+  const uint32_t crc = Checksum(data);
   if (corrupt && !data.empty()) {
     uint32_t bits;
     std::memcpy(&bits, &data[data.size() / 2], sizeof(bits));
@@ -61,67 +124,94 @@ util::StatusOr<std::vector<std::vector<float>>> CommHub::Exchange(
     std::memcpy(&data[data.size() / 2], &bits, sizeof(bits));
   }
 
-  std::unique_lock<std::mutex> lock(mu_);
-  if (aborted_) {
-    return util::Status::Cancelled("collective aborted (epoch teardown)");
-  }
-  Round& round = rounds_[seq];
-  if (round.contrib.empty()) {
-    round.contrib.resize(static_cast<size_t>(world_size_));
-    round.crc.resize(static_cast<size_t>(world_size_), 0);
-    round.present.resize(static_cast<size_t>(world_size_), false);
-  }
-  if (!drop) {
-    LLM_CHECK(!round.present[static_cast<size_t>(rank)])
-        << "rank " << rank << " contributed twice to collective " << seq;
-    round.contrib[static_cast<size_t>(rank)] = std::move(data);
-    round.crc[static_cast<size_t>(rank)] = crc;
-    round.present[static_cast<size_t>(rank)] = true;
-    if (++round.num_present == world_size_) cv_.notify_all();
-  }
-
-  const bool arrived = cv_.wait_for(lock, timeout, [&] {
-    return round.num_present == world_size_ || round.poisoned || aborted_;
-  });
-  if (aborted_ || round.poisoned) {
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventType::kCollectiveAbort, rank, seq, /*reason=*/2);
-    return util::Status::Cancelled(
-        "collective " + std::to_string(seq) + " aborted at rank " +
-        std::to_string(rank));
-  }
-  if (!arrived) {
-    // First waiter to expire poisons the round so every other participant
-    // fails fast instead of serving out its own full timeout.
-    round.poisoned = true;
-    cv_.notify_all();
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventType::kCollectiveAbort, rank, seq, /*reason=*/0);
-    return util::Status::DeadlineExceeded(
-        "collective " + std::to_string(seq) + " timed out at rank " +
-        std::to_string(rank) + " (" +
-        std::to_string(round.num_present) + "/" +
-        std::to_string(world_size_) + " ranks arrived)");
-  }
-
-  // Verify every contribution against its deposit-time checksum. All
-  // ranks see the same buffers, so all reach the same verdict.
-  for (int r = 0; r < world_size_; ++r) {
-    const auto& buf = round.contrib[static_cast<size_t>(r)];
-    if (util::Crc32(buf.data(), buf.size() * sizeof(float)) !=
-        round.crc[static_cast<size_t>(r)]) {
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventType::kCollectiveAbort, rank, seq, /*reason=*/1);
-      return util::Status::Internal(
-          "collective " + std::to_string(seq) +
-          ": checksum mismatch in rank " + std::to_string(r) +
-          "'s contribution (corrupt transport)");
+  Verdict verdict;
+  std::vector<int> waiting;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto settled = SettledLocked(seq)) return settled;
+    Round& round = OpenLocked(seq);
+    const size_t r = static_cast<size_t>(rank);
+    if (drop || round.present[r]) return std::nullopt;
+    round.present[r] = true;
+    if (!intact) {
+      verdict.status = util::Status::Internal(
+          "collective " + std::to_string(seq) + ": rank " +
+          std::to_string(rank) + "'s contribution failed its wire CRC");
+    } else {
+      round.contrib[r] = std::move(data);
+      round.crc[r] = crc;
+      if (++round.num_present < world_size_) return std::nullopt;
+      // Complete: verify every contribution against its deposit-time
+      // checksum, once, for every participant.
+      for (size_t s = 0; s < round.crc.size() && verdict.status.ok(); ++s) {
+        if (Checksum(round.contrib[s]) != round.crc[s]) {
+          verdict.status = util::Status::Internal(
+              "collective " + std::to_string(seq) +
+              ": checksum mismatch in rank " + std::to_string(s) +
+              "'s contribution (corrupt transport)");
+        }
+      }
+    }
+    waiting = SettleLocked(&round, verdict.status);
+    if (verdict.status.ok()) {
+      verdict.gather = std::make_shared<const Gather>(std::move(round.contrib));
+      rounds_.erase(seq);
+      done_[seq] = verdict.gather;
+      // Rounds complete in seq order within an epoch: drop the oldest.
+      while (done_.size() > kCompletedKept) done_.erase(done_.begin());
     }
   }
+  Notify(seq, verdict, waiting);
+  return std::nullopt;
+}
 
-  std::vector<std::vector<float>> result = round.contrib;
-  if (++round.num_done == world_size_) rounds_.erase(seq);
-  return result;
+void CommHub::Poison(int64_t seq) {
+  std::vector<int> waiting;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (SettledLocked(seq)) return;
+    waiting = SettleLocked(&OpenLocked(seq), Poisoned(seq));
+  }
+  Notify(seq, {Poisoned(seq), nullptr}, waiting);
+}
+
+util::StatusOr<Gather> CommHub::Wait(int rank, int64_t seq,
+                                     std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  std::optional<Verdict> verdict;
+  cv_.wait_for(lock, timeout,
+               [&] { return (verdict = SettledLocked(seq)).has_value(); });
+  if (verdict) {
+    lock.unlock();
+    if (verdict->status.ok()) return *verdict->gather;
+    const bool corrupt =
+        verdict->status.code() == util::StatusCode::kInternal;
+    obs::FlightRecorder::Global().Record(
+        obs::FlightEventType::kCollectiveAbort, rank, seq,
+        /*reason=*/corrupt ? 1 : 2);
+    return verdict->status;
+  }
+  // First waiter to expire poisons the round so every other participant
+  // fails fast instead of serving out its own full timeout.
+  Round& round = OpenLocked(seq);
+  const int arrived = round.num_present;
+  const std::vector<int> waiting = SettleLocked(&round, Poisoned(seq));
+  lock.unlock();
+  Notify(seq, {Poisoned(seq), nullptr}, waiting);
+  obs::FlightRecorder::Global().Record(obs::FlightEventType::kCollectiveAbort,
+                                       rank, seq, /*reason=*/0);
+  return util::Status::DeadlineExceeded(
+      "collective " + std::to_string(seq) + " timed out at rank " +
+      std::to_string(rank) + " (" + std::to_string(arrived) + "/" +
+      std::to_string(world_size_) + " ranks arrived)");
+}
+
+util::StatusOr<Gather> CommHub::Exchange(int rank, int64_t seq,
+                                         std::vector<float> data,
+                                         std::chrono::milliseconds timeout) {
+  // A round settled before this deposit is answered by Wait at once.
+  (void)Deposit(rank, seq, std::move(data));
+  return Wait(rank, seq, timeout);
 }
 
 util::Status Comm::Barrier(int rank, int64_t seq,
@@ -154,14 +244,19 @@ util::Status Comm::AllReduceMean(int rank, int64_t seq,
 }
 
 void CommHub::AbortAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    aborted_ = true;
+    cv_.notify_all();
+  }
+  if (FrontEnd* front_end = front_end_.load()) front_end->AbortEpoch();
 }
 
-void CommHub::Reset() {
+void CommHub::Reset(int64_t epoch) {
+  if (FrontEnd* front_end = front_end_.load()) front_end->Reset(epoch);
   std::lock_guard<std::mutex> lock(mu_);
   rounds_.clear();
+  done_.clear();
   aborted_ = false;
 }
 

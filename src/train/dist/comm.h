@@ -1,33 +1,36 @@
-// CommHub: the collective-communication layer under data-parallel training.
+// CommHub: the one collective plane under data-parallel training.
 //
-// N worker threads (one per rank) rendezvous on numbered collectives. The
-// primitive is Exchange — an all-gather: every rank contributes a float
-// buffer and receives every rank's contribution, indexed by rank. The
-// reductions data-parallel training needs are built on top of it in plain
-// code (AllReduceMean sums the gathered buffers in rank order, so every
-// rank computes bit-identical results — the property the bit-exact replay
+// world_size ranks rendezvous on numbered collectives. The primitive is
+// Exchange — an all-gather: every rank contributes a float buffer and
+// receives every rank's contribution, indexed by rank. The reductions
+// data-parallel training needs are built on top of it in plain code
+// (AllReduceMean sums the gathered buffers in rank order, so every rank
+// computes bit-identical results — the property the bit-exact replay
 // guarantees in dist_trainer rest on).
 //
+// The hub holds the only rounds table, whatever carries the traffic.
+// Exchange is a non-blocking Deposit, which every carrier calls (remote
+// ranks through a wire front-end, SocketServer, that deposits each
+// decoded contribution and pushes back the verdicts), then a blocking
+// Wait, which only in-process ranks use. A completed round's gather moves
+// to a small cache of completed results, where late waiters and re-sent
+// contributions (after a reconnect) read it.
+//
 // Failure semantics, which is most of the point:
-//   * Every wait is bounded. A rank that does not show up within the
-//     timeout (dead, stalled, or its contribution was dropped in
-//     transport) poisons the round: the first waiter to time out returns
-//     kDeadlineExceeded and every other participant of that round returns
-//     kCancelled promptly instead of hanging on its own full timeout.
-//   * Every contribution carries a CRC32 computed at deposit time.
-//     Corruption in transport (FaultSite::kCommCorrupt flips a payload
-//     bit after the checksum is taken) is detected by every receiving
-//     rank and surfaces as kInternal — never as silently wrong gradients.
-//   * AbortAll() wakes every current and future waiter with kCancelled;
-//     the coordinator calls it to collapse the world before a recovery
-//     epoch. Reset() clears rounds and the abort latch for the next epoch.
+//   * Every wait is bounded. The first rank whose wait expires poisons the
+//     round and returns kDeadlineExceeded; every other participant gets
+//     kCancelled promptly instead of serving out its own timeout.
+//   * Every contribution carries a CRC32 taken at deposit and checked when
+//     the round completes: corruption (FaultSite::kCommCorrupt flips a bit
+//     after the checksum) fails the round with kInternal for every rank.
+//   * A rank counts once per round: a second deposit is ignored.
+//   * AbortAll() fails every current and future wait with kCancelled for
+//     epoch teardown; Reset() clears rounds and the latch for the next.
 //
-// Heartbeats ride on the hub because every worker already touches it each
-// step: Heartbeat(rank) is one relaxed increment, and the coordinator's
-// monitor compares counters over time to detect silent stalls that never
-// reach a collective.
+// Heartbeats and telemetry ride on the hub too: Heartbeat(rank) is one
+// relaxed increment the supervisor's monitor watches for silent stalls.
 //
-// Fault sites (all fired by the contributing rank, inside Exchange):
+// Fault sites (once per contribution, inside Deposit, on either carrier):
 //   kCommDrop     contribution vanishes; the round times out everywhere.
 //   kCommCorrupt  one bit of the deposited payload flips after the CRC.
 #ifndef TFMR_TRAIN_DIST_COMM_H_
@@ -41,11 +44,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "util/status.h"
 
 namespace llm::train::dist {
+
+/// Every rank's buffer of one round, indexed by rank.
+using Gather = std::vector<std::vector<float>>;
 
 /// Worker-side collective transport. The one primitive is Exchange (an
 /// all-gather); Barrier and AllReduceMean are derived on top of it in
@@ -66,7 +73,7 @@ class Comm {
   /// kCancelled (the round was poisoned by another rank's timeout, the
   /// epoch was aborted, or this rank was fenced out as stale), kInternal
   /// (a contribution failed its CRC).
-  virtual util::StatusOr<std::vector<std::vector<float>>> Exchange(
+  virtual util::StatusOr<Gather> Exchange(
       int rank, int64_t seq, std::vector<float> data,
       std::chrono::milliseconds timeout) = 0;
 
@@ -106,31 +113,72 @@ class Comm {
 
 class CommHub : public Comm {
  public:
+  /// How a round ended, as every participant sees it: OK with the gather,
+  /// or the status every participant fails with.
+  struct Verdict {
+    util::Status status;
+    std::shared_ptr<const Gather> gather;  // set when status is OK
+  };
+
+  /// A wire front-end that carries remote ranks' traffic into the hub
+  /// (SocketServer). The hub calls it outside its own lock.
+  class FrontEnd {
+   public:
+    virtual ~FrontEnd() = default;
+    /// Round `seq` settled; `waiting` are the ranks that deposited into
+    /// it and are owed `verdict`.
+    virtual void RoundSettled(int64_t seq, const Verdict& verdict,
+                              const std::vector<int>& waiting) = 0;
+    /// AbortAll ran: every remote rank must stop waiting.
+    virtual void AbortEpoch() = 0;
+    /// Reset(epoch) is about to clear the hub: retire the old epoch's
+    /// connections first, so none of their frames reaches a new round.
+    virtual void Reset(int64_t epoch) = 0;
+  };
+
   explicit CommHub(int world_size);
 
   CommHub(const CommHub&) = delete;
   CommHub& operator=(const CommHub&) = delete;
 
-  /// See Comm::Exchange.
-  util::StatusOr<std::vector<std::vector<float>>> Exchange(
-      int rank, int64_t seq, std::vector<float> data,
-      std::chrono::milliseconds timeout) override;
+  /// See Comm::Exchange: Deposit, then Wait.
+  util::StatusOr<Gather> Exchange(int rank, int64_t seq,
+                                  std::vector<float> data,
+                                  std::chrono::milliseconds timeout) override;
+
+  /// The non-blocking half of Exchange, for every carrier: `rank`'s
+  /// contribution to round `seq`. `intact` false marks a payload that
+  /// failed its wire CRC; the round fails with kInternal. Returns the
+  /// verdict when the round had settled before this deposit (aborted,
+  /// failed, or completed: a re-sent contribution is answered from the
+  /// cache); otherwise nullopt, and the front end hears if this deposit
+  /// settled the round.
+  std::optional<Verdict> Deposit(int rank, int64_t seq,
+                                 std::vector<float> data, bool intact = true);
+
+  /// Fails round `seq` with kCancelled unless it already settled: some
+  /// rank's wait on it expired.
+  void Poison(int64_t seq);
 
   /// Wakes every current and future waiter with kCancelled. Idempotent.
   void AbortAll();
 
-  /// Clears all rounds and the abort latch for a new epoch. Callers must
+  /// Clears all rounds and the abort latch for spawn generation `epoch`,
+  /// after the front end (if any) retired the previous one. Callers must
   /// ensure no rank is inside a collective (join workers first).
-  void Reset();
+  void Reset(int64_t epoch = 0);
 
-  /// One relaxed increment; the coordinator's monitor reads the counter
+  /// Attaches (or, with null, detaches) the wire front-end.
+  void SetFrontEnd(FrontEnd* front_end);
+
+  /// One relaxed increment; the supervisor's monitor reads the counter
   /// to detect ranks that stopped making progress.
   void Heartbeat(int rank) override;
   int64_t HeartbeatCount(int rank) const;
 
-  /// Receives every ShipTelemetry blob (the in-process analogue of the
-  /// server's kTelemetry frame handler). Called from worker threads;
-  /// the sink must be thread-safe. Set before workers start.
+  /// Receives every ShipTelemetry blob, from in-process ranks and from
+  /// the front end's readers alike; the sink must be thread-safe. Set
+  /// before ranks start.
   using TelemetrySink =
       std::function<void(int rank, const std::vector<uint8_t>& blob)>;
   void SetTelemetrySink(TelemetrySink sink);
@@ -140,19 +188,33 @@ class CommHub : public Comm {
 
  private:
   struct Round {
-    std::vector<std::vector<float>> contrib;
+    Gather contrib;
     std::vector<uint32_t> crc;
     std::vector<bool> present;
     int num_present = 0;
-    int num_done = 0;
-    bool poisoned = false;  // a waiter timed out; fail the round everywhere
+    util::Status failed;  // not OK once the round failed
   };
+
+  /// The blocking half of Exchange, for in-process ranks.
+  util::StatusOr<Gather> Wait(int rank, int64_t seq,
+                              std::chrono::milliseconds timeout);
+  /// The verdict of round `seq` if it settled (or the epoch aborted).
+  std::optional<Verdict> SettledLocked(int64_t seq) const;
+  Round& OpenLocked(int64_t seq);
+  /// Settles `round` (a failure when `status` is not OK), wakes waiters,
+  /// and returns the ranks that deposited into it.
+  std::vector<int> SettleLocked(Round* round, util::Status status);
+  void Notify(int64_t seq, const Verdict& verdict,
+              const std::vector<int>& waiting);
 
   const int world_size_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<int64_t, Round> rounds_;  // guarded by mu_
+  std::map<int64_t, Round> rounds_;  // collecting or failed; guarded by mu_
+  /// Completed rounds' gathers, newest kCompletedKept by seq; guarded by mu_.
+  std::map<int64_t, std::shared_ptr<const Gather>> done_;
   bool aborted_ = false;             // guarded by mu_
+  std::atomic<FrontEnd*> front_end_{nullptr};
   std::unique_ptr<std::atomic<int64_t>[]> heartbeats_;
   mutable std::mutex sink_mu_;
   TelemetrySink telemetry_sink_;     // guarded by sink_mu_

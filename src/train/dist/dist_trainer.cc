@@ -122,12 +122,9 @@ class DistTrainer::ThreadLauncher final : public RankLauncher {
     // function decides is which Comm carries the collectives.
     std::unique_ptr<SocketComm> sock;
     Comm* comm = gang.hub();
-    if (comm == nullptr) {
-      SocketCommOptions sock_options;
-      sock_options.jitter_seed = options_.seed ^ 0x50c7e7ULL;
+    if (const SocketServer* server = gang.server()) {
       sock = std::make_unique<SocketComm>(rank, options_.world_size,
-                                          gang.server()->bound_address(),
-                                          epoch, sock_options);
+                                          server->bound_address(), epoch);
       comm = sock.get();
     }
 

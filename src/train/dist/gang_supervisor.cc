@@ -35,22 +35,21 @@ const char* IncidentArchiveDir() { return std::getenv("TFMR_INCIDENT_DIR"); }
 }  // namespace
 
 GangSupervisor::GangSupervisor(GangOptions options, RankLauncher* launcher)
-    : options_(std::move(options)), launcher_(launcher) {
+    : options_(std::move(options)),
+      launcher_(launcher),
+      hub_(options_.world_size) {
   LLM_CHECK_GE(options_.world_size, 1);
   LLM_CHECK(!options_.checkpoint_dir.empty())
       << "a gang requires checkpoint_dir: the latest checkpoint is the "
          "rendezvous and recovery substrate";
   LLM_CHECK(options_.factory != nullptr);
   LLM_CHECK(launcher_ != nullptr);
-  if (options_.transport == CommTransport::kThread) {
-    hub_ = std::make_unique<CommHub>(options_.world_size);
-  }
 }
 
 GangSupervisor::~GangSupervisor() {
   Fence();
-  // The server's reader threads ingest into telemetry_: join them while
-  // it is alive.
+  // The server's reader threads feed the hub and, through its sink,
+  // telemetry_: join them while both are alive.
   if (server_) server_->Stop();
 }
 
@@ -58,8 +57,7 @@ void GangSupervisor::Fence() {
   // Superseded first: a rank between collectives stops at its next step
   // instead of dialing into the aborted epoch.
   epoch_.fetch_add(1);
-  if (hub_) hub_->AbortAll();
-  if (server_) server_->AbortEpoch();
+  hub_.AbortAll();
   launcher_->StopAll();
 }
 
@@ -197,27 +195,27 @@ util::Status GangSupervisor::Run() {
     LLM_RETURN_IF_ERROR(WriteInitialCheckpoint());
   }
 
-  const auto sink = [this](int /*rank*/, const std::vector<uint8_t>& blob) {
+  hub_.SetTelemetrySink([this](int /*rank*/,
+                                const std::vector<uint8_t>& blob) {
     auto unit = obs::DecodeRankTelemetry(blob);
     // A corrupt unit costs one snapshot, never the run.
     if (unit.ok()) telemetry_.Ingest(unit.value(), blob.size());
-  };
-  if (hub_) hub_->SetTelemetrySink(sink);
+  });
   if (options_.transport == CommTransport::kSocket && !server_) {
     const std::string address = options_.socket_address.empty()
                                     ? options_.checkpoint_dir + "/comm.sock"
                                     : options_.socket_address;
-    server_ = std::make_unique<SocketServer>(options_.world_size, address);
+    server_ = std::make_unique<SocketServer>(&hub_, address);
     LLM_RETURN_IF_ERROR(server_->Start());
-    server_->SetTelemetrySink(sink);
   }
 
   while (true) {
     std::string ckpt;
     LLM_RETURN_IF_ERROR(PickCheckpoint(&ckpt));
     const int64_t epoch = epoch_.load();
-    if (hub_) hub_->Reset();
-    if (server_) server_->Reset(epoch);
+    // The server, if any, retires the old epoch's readers before the hub
+    // clears, so no old-epoch frame reaches a new round.
+    hub_.Reset(epoch);
     if (epoch > 0) {
       const int64_t resume = StepFromCheckpointPath(ckpt);
       FlightRecorder::Global().Record(FlightEventType::kDistRecovery,
@@ -268,8 +266,7 @@ bool GangSupervisor::Monitor(util::Status* verdict) {
       } else if (state == State::kFailed) {
         failed.push_back(r);
       } else {
-        const int64_t hb =
-            server_ ? server_->HeartbeatCount(r) : hub_->HeartbeatCount(r);
+        const int64_t hb = hub_.HeartbeatCount(r);
         if (hb != last_hb[i]) {
           last_hb[i] = hb;
           last_beat[i] = now;

@@ -8,7 +8,8 @@
 //     newest checkpoint that validates (a torn or corrupt file is deleted
 //     so an older good one takes over). Joining an epoch and recovering
 //     from one are the same code path: load that checkpoint and run;
-//   * the collective plane: an in-process CommHub, or a SocketServer, with
+//   * the collective plane: one CommHub on either transport (in-process
+//     ranks exchange through it; on sockets a SocketServer feeds it), with
 //     the telemetry sink that feeds every shipped unit to one aggregator;
 //   * detection: the launcher reports a rank that died or failed; the
 //     supervisor itself sees a heartbeat counter flat past
@@ -96,7 +97,7 @@ class RankLauncher {
  public:
   virtual ~RankLauncher() = default;
   /// Starts every rank of spawn generation `epoch` from `ckpt_path`, on
-  /// `gang`'s transport (gang.hub() or gang.server()).
+  /// `gang`'s transport (gang.server() when it has one, else gang.hub()).
   virtual util::Status Launch(GangSupervisor& gang, int64_t epoch,
                               const std::string& ckpt_path) = 0;
   /// `rank`'s state now. Called from the supervisor's thread only.
@@ -152,8 +153,9 @@ class GangSupervisor {
   /// The live spawn generation. A rank launched for another epoch is
   /// superseded and stops at its next step. Thread-safe.
   int64_t epoch() const { return epoch_.load(); }
-  /// The in-process transport; null on the socket transport.
-  CommHub* hub() { return hub_.get(); }
+  /// The collective plane: in-process ranks exchange through it, and the
+  /// socket server feeds it.
+  CommHub* hub() { return &hub_; }
   /// The socket server, started by Run; null on the in-process transport.
   const SocketServer* server() const { return server_.get(); }
 
@@ -190,7 +192,6 @@ class GangSupervisor {
 
   const GangOptions options_;
   RankLauncher* const launcher_;
-  std::unique_ptr<CommHub> hub_;
   std::atomic<int64_t> epoch_{0};
   int recoveries_ = 0;
   mutable std::mutex incidents_mu_;
@@ -202,7 +203,9 @@ class GangSupervisor {
   /// timeline (already spliced, or older than the run).
   uint64_t shipped_ticket_ = 0;
   obs::TelemetryAggregator telemetry_;
-  /// Declared after telemetry_: its reader threads ingest into it.
+  /// Declared after telemetry_, which its sink feeds.
+  CommHub hub_;
+  /// Declared after hub_: its reader threads deposit into it.
   std::unique_ptr<SocketServer> server_;
 };
 

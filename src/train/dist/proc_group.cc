@@ -44,7 +44,7 @@ class ProcGroupCoordinator::ProcessLauncher final : public RankLauncher {
 
   util::Status Launch(GangSupervisor& gang, int64_t epoch,
                       const std::string& ckpt_path) override {
-    server_ = gang.server();
+    gang_ = &gang;
     for (int r = 0; r < options_.world_size; ++r) {
       // Argv is fully materialized BEFORE fork: the child must go straight
       // to execv without touching the allocator (fork duplicates only the
@@ -54,7 +54,7 @@ class ProcGroupCoordinator::ProcessLauncher final : public RankLauncher {
           options_.worker_binary,
           "--rank=" + std::to_string(r),
           "--world=" + std::to_string(options_.world_size),
-          "--address=" + server_->bound_address(),
+          "--address=" + gang.server()->bound_address(),
           "--epoch=" + std::to_string(epoch),
           "--ckpt=" + ckpt_path,
           "--ckpt-dir=" + options_.checkpoint_dir,
@@ -118,10 +118,11 @@ class ProcGroupCoordinator::ProcessLauncher final : public RankLauncher {
         return poll;
       }
     }
-    // A process's death is seen only from outside, so it is recorded here.
-    obs::FlightRecorder::Global().Record(obs::FlightEventType::kWorkerDeath,
-                                         rank, server_->HeartbeatCount(rank),
-                                         /*reason=*/0);
+    // A process's death is seen only from outside, so it is recorded here,
+    // at the last step the rank shipped.
+    obs::FlightRecorder::Global().Record(
+        obs::FlightEventType::kWorkerDeath, rank,
+        gang_->telemetry().RankStep(rank), /*reason=*/0);
     const bool signaled = WIFSIGNALED(wstatus);
     poll.state = signaled ? RankPoll::State::kDead : RankPoll::State::kFailed;
     poll.kind = signaled ? "worker-death" : "worker-exit";
@@ -157,7 +158,7 @@ class ProcGroupCoordinator::ProcessLauncher final : public RankLauncher {
  private:
   const ProcGroupOptions options_;
   const std::string postmortem_dir_;
-  const SocketServer* server_ = nullptr;
+  const GangSupervisor* gang_ = nullptr;
   std::mutex pids_mu_;
   std::vector<pid_t> pids_;  // guarded by pids_mu_; -1 = reaped
   std::vector<bool> done_;   // guarded by pids_mu_

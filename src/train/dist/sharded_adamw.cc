@@ -1,7 +1,5 @@
 #include "train/dist/sharded_adamw.h"
 
-#include <cmath>
-
 namespace llm::train::dist {
 
 std::vector<int> ShardedAdamW::PartitionOwners(
@@ -42,29 +40,10 @@ ShardedAdamW::ShardedAdamW(std::vector<core::Variable> params,
 }
 
 void ShardedAdamW::Step() {
-  // Identical arithmetic to train::AdamW::Step (bit-exact at world=1),
-  // restricted to the parameters this rank owns.
   ++step_;
-  const float b1 = options_.beta1, b2 = options_.beta2;
-  const float bias1 = 1.0f - std::pow(b1, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(b2, static_cast<float>(step_));
   for (size_t i = 0; i < params_.size(); ++i) {
-    if (owners_[i] != rank_) continue;
-    core::Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    const core::Tensor& g = p.grad();
-    core::Tensor& w = p.mutable_value();
-    core::Tensor& m = m_[i];
-    core::Tensor& v = v_[i];
-    const bool decay = options_.weight_decay > 0.0f && w.ndim() >= 2;
-    for (int64_t j = 0; j < w.numel(); ++j) {
-      m[j] = b1 * m[j] + (1.0f - b1) * g[j];
-      v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
-      const float mhat = m[j] / bias1;
-      const float vhat = v[j] / bias2;
-      float update = mhat / (std::sqrt(vhat) + options_.eps);
-      if (decay) update += options_.weight_decay * w[j];
-      w[j] -= lr_ * update;
+    if (owners_[i] == rank_) {
+      AdamWUpdate(options_, lr_, step_, params_[i], m_[i], v_[i]);
     }
   }
 }

@@ -12,10 +12,11 @@
 // Step() therefore updates only the owned parameters (using the globally
 // averaged gradients, which every rank holds after the all-reduce); the
 // updated values then travel to the other replicas via the parameter
-// all-gather the distributed trainer runs right after Step. The update
-// arithmetic is copied verbatim from train::AdamW so that a world_size=1
-// shard is bit-exact with the single-process optimizer — the anchor for
-// the distributed-equals-local equivalence tests.
+// all-gather the distributed trainer runs right after Step. Each owned
+// parameter steps through train::AdamWUpdate, the update plain AdamW
+// runs, so a world_size=1 shard is bit-exact with the single-process
+// optimizer by construction — the anchor for the distributed-equals-local
+// equivalence tests.
 //
 // Checkpoint interop: ExportState() emits only the owned slots (type
 // "adamw-shard"); the distributed trainer assembles the owned slices from

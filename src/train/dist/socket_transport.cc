@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -52,12 +53,11 @@ void CountRx(const Frame& frame) {
   Metrics().bytes_rx->Increment(kFrameHeaderBytes + frame.payload.size());
 }
 
-/// Reconstructs the Status a round failed with from its wire code.
-util::Status RoundStatus(int32_t code, int64_t seq) {
-  const std::string msg =
-      "collective " + std::to_string(seq) + " failed over socket transport";
-  return util::Status(static_cast<util::StatusCode>(code), msg);
-}
+/// Per-attempt connect + handshake budget, and the reconnect backoff
+/// (SubmitWithRetry's discipline).
+constexpr std::chrono::milliseconds kConnectTimeout{2000};
+constexpr std::chrono::milliseconds kBackoffInitial{5};
+constexpr std::chrono::milliseconds kBackoffCap{200};
 
 /// Server-side write deadline: bounded so a wedged client can never park
 /// a reader thread that is fanning out results.
@@ -71,14 +71,17 @@ SteadyClock::time_point ShortWriteDeadline() {
 // SocketServer
 // ---------------------------------------------------------------------------
 
-SocketServer::SocketServer(int world_size, std::string address)
-    : world_size_(world_size), address_(std::move(address)) {
-  LLM_CHECK_GE(world_size, 1);
-  by_rank_.resize(static_cast<size_t>(world_size));
-  ranks_.resize(static_cast<size_t>(world_size));
+SocketServer::SocketServer(CommHub* hub, std::string address)
+    : hub_(hub), world_size_(hub->world_size()), address_(std::move(address)) {
+  by_rank_.resize(static_cast<size_t>(world_size_));
+  ranks_.resize(static_cast<size_t>(world_size_));
+  hub_->SetFrontEnd(this);
 }
 
-SocketServer::~SocketServer() { Stop(); }
+SocketServer::~SocketServer() {
+  Stop();
+  hub_->SetFrontEnd(nullptr);
+}
 
 util::Status SocketServer::Start() {
   auto fd = ListenOn(address_, &bound_address_);
@@ -97,16 +100,7 @@ void SocketServer::Stop() {
   std::vector<std::shared_ptr<Conn>> reap;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : by_rank_) {
-      if (conn) {
-        conn->stop.store(true);
-        ::shutdown(conn->fd, SHUT_RDWR);
-        reap.push_back(std::move(conn));
-      }
-    }
-    reap.insert(reap.end(), std::make_move_iterator(graveyard_.begin()),
-                std::make_move_iterator(graveyard_.end()));
-    graveyard_.clear();
+    reap = RetireAllLocked();
   }
   for (auto& conn : reap) ReapConn(*conn);
   if (listen_fd_ >= 0) {
@@ -268,27 +262,12 @@ void SocketServer::SendOn(const std::shared_ptr<Conn>& conn,
   CountTx(frame);
 }
 
-void SocketServer::FailRoundLocked(
-    int64_t seq, Round* round, int32_t code,
-    std::vector<std::shared_ptr<Conn>>* notify) {
-  round->failed = code;
-  for (int r = 0; r < world_size_; ++r) {
-    if (round->present[static_cast<size_t>(r)] &&
-        by_rank_[static_cast<size_t>(r)]) {
-      notify->push_back(by_rank_[static_cast<size_t>(r)]);
-    }
-  }
-  (void)seq;
-}
-
 void SocketServer::HandleFrame(const std::shared_ptr<Conn>& conn,
                                const Frame& frame) {
   switch (frame.type) {
-    case FrameType::kHeartbeat: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++ranks_[static_cast<size_t>(conn->rank)].heartbeats;
+    case FrameType::kHeartbeat:
+      hub_->Heartbeat(conn->rank);
       return;
-    }
     case FrameType::kGoodbye: {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -297,7 +276,7 @@ void SocketServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       finished_cv_.notify_all();
       return;
     }
-    case FrameType::kTelemetry: {
+    case FrameType::kTelemetry:
       // Best-effort observability: a payload that failed its wire CRC is
       // dropped here rather than failing anything — telemetry rides
       // outside the collective algebra.
@@ -305,150 +284,86 @@ void SocketServer::HandleFrame(const std::shared_ptr<Conn>& conn,
         Metrics().crc_rejects->Increment();
         return;
       }
-      TelemetrySink sink;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        sink = telemetry_sink_;
-      }
-      // Invoked outside mu_: the sink (typically an aggregator ingest)
-      // takes its own locks and must not serialize round handling.
-      if (sink) sink(conn->rank, frame.payload);
+      hub_->ShipTelemetry(conn->rank, frame.payload);
+      return;
+    case FrameType::kPoison:
+      // The sender's wait on `seq` expired: the hub fails the round so
+      // every other participant gets a prompt kCancelled.
+      hub_->Poison(frame.seq);
+      return;
+    case FrameType::kContribution: {
+      // A payload that failed its wire CRC (intact framing, flipped bits)
+      // fails the round with kInternal.
+      if (!frame.payload_ok) Metrics().crc_rejects->Increment();
+      auto settled = hub_->Deposit(conn->rank, frame.seq,
+                                   DecodeFloats(frame.payload),
+                                   frame.payload_ok);
+      // A round that had settled already is answered at once; otherwise
+      // the verdict comes through RoundSettled when the round settles.
+      if (settled) RoundSettled(frame.seq, *settled, {conn->rank});
       return;
     }
-    case FrameType::kPoison: {
-      // The sender's wait on `seq` expired: fail the round so every other
-      // participant gets a prompt kCancelled instead of its own timeout.
-      std::vector<std::shared_ptr<Conn>> notify;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (done_.count(frame.seq) != 0) return;  // round did complete
-        Round& round = rounds_[frame.seq];
-        if (round.present.empty()) {
-          round.contrib.resize(static_cast<size_t>(world_size_));
-          round.present.resize(static_cast<size_t>(world_size_), false);
-        }
-        if (round.failed == 0) {
-          FailRoundLocked(frame.seq, &round,
-                          static_cast<int32_t>(util::StatusCode::kCancelled),
-                          &notify);
-        }
-      }
-      Frame err;
-      err.type = FrameType::kError;
-      err.status = static_cast<int32_t>(util::StatusCode::kCancelled);
-      err.epoch = frame.epoch;
-      err.seq = frame.seq;
-      for (auto& c : notify) {
-        err.rank = c->rank;
-        SendOn(c, err);
-      }
-      return;
-    }
-    case FrameType::kContribution:
-      break;  // handled below
     default:
       return;  // client->server stream carries nothing else
   }
+}
 
-  // kContribution.
+void SocketServer::RoundSettled(int64_t seq, const CommHub::Verdict& verdict,
+                                const std::vector<int>& waiting) {
   Frame reply;
-  reply.rank = conn->rank;
-  reply.epoch = frame.epoch;
-  reply.seq = frame.seq;
-  std::vector<std::shared_ptr<Conn>> notify;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) {
-      reply.type = FrameType::kAbort;
-      SendOn(conn, reply);
-      return;
-    }
-    auto cached = done_.find(frame.seq);
-    if (cached != done_.end()) {
-      // A reconnect race: the client contributed, lost its connection,
-      // and is re-asking for a round that already completed.
-      reply.type = FrameType::kResult;
-      reply.payload = cached->second;
-      SendOn(conn, reply);
-      return;
-    }
-    Round& round = rounds_[frame.seq];
-    if (round.present.empty()) {
-      round.contrib.resize(static_cast<size_t>(world_size_));
-      round.present.resize(static_cast<size_t>(world_size_), false);
-    }
-    if (round.failed != 0) {
-      reply.type = FrameType::kError;
-      reply.status = round.failed;
-      SendOn(conn, reply);
-      return;
-    }
-    if (!frame.payload_ok) {
-      // Corruption in transport: the framing held but the payload CRC
-      // did not. Fail the round for everyone — kInternal, same verdict
-      // CommHub reaches on a deposit-checksum mismatch.
-      Metrics().crc_rejects->Increment();
-      FailRoundLocked(frame.seq, &round,
-                      static_cast<int32_t>(util::StatusCode::kInternal),
-                      &notify);
-      if (!round.present[static_cast<size_t>(conn->rank)]) {
-        notify.push_back(conn);
-      }
-      reply.type = FrameType::kError;
-      reply.status = static_cast<int32_t>(util::StatusCode::kInternal);
-    } else if (round.present[static_cast<size_t>(conn->rank)]) {
-      return;  // idempotent duplicate (re-sent across a reconnect)
-    } else {
-      round.contrib[static_cast<size_t>(conn->rank)] =
-          DecodeFloats(frame.payload);
-      round.present[static_cast<size_t>(conn->rank)] = true;
-      if (++round.num_present == world_size_) {
-        reply.type = FrameType::kResult;
-        reply.payload = EncodeGather(round.contrib);
-        done_[frame.seq] = reply.payload;
-        done_order_.push_back(frame.seq);
-        while (done_order_.size() > 4) {
-          done_.erase(done_order_.front());
-          done_order_.pop_front();
-        }
-        for (int r = 0; r < world_size_; ++r) {
-          if (by_rank_[static_cast<size_t>(r)]) {
-            notify.push_back(by_rank_[static_cast<size_t>(r)]);
-          }
-        }
-        rounds_.erase(frame.seq);
-      } else {
-        return;  // parked: the completing contribution will answer us
-      }
-    }
+  reply.epoch = epoch_.load(std::memory_order_relaxed);
+  reply.seq = seq;
+  reply.status = static_cast<int32_t>(verdict.status.code());
+  if (verdict.status.ok()) {
+    reply.type = FrameType::kResult;
+    reply.payload = EncodeGather(*verdict.gather);
+  } else {
+    reply.type = FrameType::kError;
+    const std::string& msg = verdict.status.message();
+    reply.payload.assign(msg.begin(), msg.end());
   }
-  for (auto& c : notify) {
-    reply.rank = c->rank;
-    SendOn(c, reply);
-  }
+  Push(std::move(reply), waiting);
 }
 
 void SocketServer::AbortEpoch() {
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    aborted_ = true;
-    for (auto& [seq, round] : rounds_) {
-      if (round.failed == 0) {
-        round.failed = static_cast<int32_t>(util::StatusCode::kCancelled);
-      }
-    }
-    for (auto& conn : by_rank_) {
-      if (conn) conns.push_back(conn);
-    }
-  }
   Frame abort;
   abort.type = FrameType::kAbort;
   abort.epoch = epoch_.load(std::memory_order_relaxed);
-  for (auto& conn : conns) {
-    abort.rank = conn->rank;
-    SendOn(conn, abort);
+  std::vector<int> all(static_cast<size_t>(world_size_));
+  std::iota(all.begin(), all.end(), 0);
+  Push(std::move(abort), all);
+}
+
+void SocketServer::Push(Frame frame, const std::vector<int>& ranks) {
+  std::vector<std::shared_ptr<Conn>> conns;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int r : ranks) {
+      if (const auto& conn = by_rank_[static_cast<size_t>(r)]) {
+        conns.push_back(conn);
+      }
+    }
   }
+  for (auto& conn : conns) {
+    frame.rank = conn->rank;
+    SendOn(conn, frame);
+  }
+}
+
+std::vector<std::shared_ptr<SocketServer::Conn>>
+SocketServer::RetireAllLocked() {
+  std::vector<std::shared_ptr<Conn>> reap;
+  for (auto& conn : by_rank_) {
+    if (conn) {
+      conn->stop.store(true);
+      ::shutdown(conn->fd, SHUT_RDWR);
+      reap.push_back(std::move(conn));
+    }
+  }
+  reap.insert(reap.end(), std::make_move_iterator(graveyard_.begin()),
+              std::make_move_iterator(graveyard_.end()));
+  graveyard_.clear();
+  return reap;
 }
 
 void SocketServer::Reset(int64_t epoch) {
@@ -456,28 +371,10 @@ void SocketServer::Reset(int64_t epoch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     epoch_.store(epoch, std::memory_order_relaxed);
-    aborted_ = false;
-    rounds_.clear();
-    done_.clear();
-    done_order_.clear();
-    for (auto& conn : by_rank_) {
-      if (conn) {
-        conn->stop.store(true);
-        ::shutdown(conn->fd, SHUT_RDWR);
-        reap.push_back(std::move(conn));
-      }
-    }
-    reap.insert(reap.end(), std::make_move_iterator(graveyard_.begin()),
-                std::make_move_iterator(graveyard_.end()));
-    graveyard_.clear();
+    reap = RetireAllLocked();
     ranks_.assign(static_cast<size_t>(world_size_), RankState{});
   }
   for (auto& conn : reap) ReapConn(*conn);
-}
-
-int64_t SocketServer::HeartbeatCount(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ranks_[static_cast<size_t>(rank)].heartbeats;
 }
 
 bool SocketServer::Finished(int rank) const {
@@ -491,11 +388,6 @@ bool SocketServer::AwaitAllFinished(std::chrono::milliseconds timeout) {
     return std::all_of(ranks_.begin(), ranks_.end(),
                        [](const RankState& rs) { return rs.finished; });
   });
-}
-
-void SocketServer::SetTelemetrySink(TelemetrySink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  telemetry_sink_ = std::move(sink);
 }
 
 std::vector<int> SocketServer::RanksDisconnectedOver(
@@ -518,14 +410,14 @@ std::vector<int> SocketServer::RanksDisconnectedOver(
 // ---------------------------------------------------------------------------
 
 SocketComm::SocketComm(int rank, int world_size, std::string server_address,
-                       int64_t epoch, SocketCommOptions options)
+                       int64_t epoch)
     : rank_(rank),
       world_size_(world_size),
       address_(std::move(server_address)),
       epoch_(epoch),
-      options_(options),
-      jitter_(options.jitter_seed ^
-              (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(rank + 1))) {}
+      jitter_(0x50c7e7ULL ^
+              (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(rank + 1)) ^
+              (0xD1B54A32D192ED03ull * static_cast<uint64_t>(epoch + 1))) {}
 
 SocketComm::~SocketComm() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -556,7 +448,7 @@ util::Status SocketComm::EnsureConnected(SteadyClock::time_point deadline) {
           " could not (re)connect to " + address_ + " within deadline");
     }
     const auto attempt_deadline =
-        std::min(deadline, now + options_.connect_timeout);
+        std::min(deadline, now + kConnectTimeout);
     auto fd = ConnectTo(address_, attempt_deadline);
     if (fd.ok()) {
       Frame hello;
@@ -586,8 +478,8 @@ util::Status SocketComm::EnsureConnected(SteadyClock::time_point deadline) {
       }
       ::close(fd.value());
     }
-    const auto delay = BackoffDelay(attempt++, options_.backoff_initial,
-                                    options_.backoff_cap, jitter_.Uniform());
+    const auto delay = BackoffDelay(attempt++, kBackoffInitial, kBackoffCap,
+                                    jitter_.Uniform());
     std::this_thread::sleep_for(
         std::min<SteadyClock::duration>(delay, deadline - SteadyClock::now()));
   }
@@ -655,8 +547,8 @@ util::StatusOr<std::vector<std::vector<float>>> SocketComm::Exchange(
           return poison_and_timeout();
         }
         // Connection lost (or stream desynced): reconnect and re-send;
-        // the server's result cache answers if the round completed while
-        // we were away.
+        // the hub's cache of completed results answers if the round
+        // completed while we were away.
         CloseConn(/*dirty=*/true);
         sent = false;
         break;
@@ -678,11 +570,12 @@ util::StatusOr<std::vector<std::vector<float>>> SocketComm::Exchange(
       }
       if (f.seq != seq) continue;  // stale push from an earlier round
       if (f.type == FrameType::kError) {
-        return RoundStatus(f.status, seq);
+        return util::Status(static_cast<util::StatusCode>(f.status),
+                            std::string(f.payload.begin(), f.payload.end()));
       }
       if (f.type != FrameType::kResult) continue;
       if (!f.payload_ok) {
-        // The *result* got corrupted on the way down. The server holds a
+        // The *result* got corrupted on the way down. The hub holds a
         // good copy in its cache: drop the connection and re-ask.
         Metrics().crc_rejects->Increment();
         CloseConn(/*dirty=*/true);
@@ -701,37 +594,33 @@ util::StatusOr<std::vector<std::vector<float>>> SocketComm::Exchange(
   }
 }
 
-void SocketComm::Heartbeat(int rank) {
-  LLM_CHECK_EQ(rank, rank_);
+void SocketComm::SendBestEffort(Frame frame) {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return;  // Exchange owns reconnection
-  Frame hb;
-  hb.type = FrameType::kHeartbeat;
-  hb.rank = rank_;
-  hb.epoch = epoch_;
-  if (SendFrame(fd_, hb, SteadyClock::now() + std::chrono::milliseconds(100))
+  frame.rank = rank_;
+  frame.epoch = epoch_;
+  if (SendFrame(fd_, frame,
+                SteadyClock::now() + std::chrono::milliseconds(100))
           .ok()) {
-    CountTx(hb);
+    CountTx(frame);
   } else {
     CloseConn(/*dirty=*/true);
   }
 }
 
+void SocketComm::Heartbeat(int rank) {
+  LLM_CHECK_EQ(rank, rank_);
+  Frame hb;
+  hb.type = FrameType::kHeartbeat;
+  SendBestEffort(std::move(hb));
+}
+
 void SocketComm::ShipTelemetry(int rank, const std::vector<uint8_t>& blob) {
   LLM_CHECK_EQ(rank, rank_);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;  // Exchange owns reconnection
   Frame tel;
   tel.type = FrameType::kTelemetry;
-  tel.rank = rank_;
-  tel.epoch = epoch_;
   tel.payload = blob;
-  if (SendFrame(fd_, tel, SteadyClock::now() + std::chrono::milliseconds(100))
-          .ok()) {
-    CountTx(tel);
-  } else {
-    CloseConn(/*dirty=*/true);
-  }
+  SendBestEffort(std::move(tel));
 }
 
 void SocketComm::Finish(int rank) {

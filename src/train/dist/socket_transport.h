@@ -1,38 +1,35 @@
-// Socket-backed collective transport: the CommHub contract over real
+// Socket-backed collective transport: CommHub's collectives over real
 // process boundaries.
 //
-// Topology: one SocketServer (owned by the coordinator) and one
-// SocketComm per rank (in a worker thread or a separate worker process).
-// The server plays the role CommHub's shared memory played — it holds the
-// rounds table, gathers contributions, and broadcasts results — while
-// SocketComm implements the Comm interface, so DistTrainer's worker loop
-// is bit-identical over threads and sockets by construction.
+// Topology: one SocketServer (owned by the coordinator) in front of the
+// coordinator's CommHub, and one SocketComm per rank (in a worker thread
+// or a separate worker process). The server is a wire front-end and holds
+// no rounds: it deposits each decoded contribution into the hub, forwards
+// poison, heartbeat and telemetry frames to it, and pushes back the
+// verdicts the hub returns or reports. Round semantics — bounded waits,
+// poisoning, the deposit-time CRC, the comm-* fault sites, abort and
+// reset, the cache of completed results — are the hub's, so they are the
+// same on both carriers by construction. SocketComm implements the Comm
+// interface, so the worker loop is bit-identical over threads and sockets.
 //
-// Failure semantics mirror CommHub:
-//   * Bounded waits. A client whose wait on round `seq` expires sends
-//     kPoison and returns kDeadlineExceeded; the server fails the round
-//     so every other participant gets a prompt kError(kCancelled) push
-//     instead of serving out its own full timeout.
-//   * Corruption detection. A contribution whose payload fails its wire
-//     CRC (intact framing, flipped bits — FaultSite::kSockCorruptFrame
-//     models exactly this) fails the round with kInternal for every rank;
-//     wrong gradients never propagate silently.
-//   * AbortEpoch() pushes kAbort to every connection and fails every
-//     current and future round with kCancelled; Reset(epoch) clears the
-//     rounds and the latch and advances the fencing epoch.
-//
-// On top of that, what only a real transport needs:
+// What only a real transport adds:
+//   * Wire integrity. A contribution whose payload fails its wire CRC
+//     (intact framing, flipped bits — FaultSite::kSockCorruptFrame models
+//     exactly this) is deposited as corrupt and fails the round with
+//     kInternal for every rank. A corrupt result is re-asked; a corrupt
+//     telemetry frame is dropped.
 //   * Reconnection. A broken connection (kSockDisconnect, a worker
 //     process bounce, a dropped TCP session) is retried with
 //     capped-exponential backoff and deterministic jitter inside the
-//     collective deadline. The server answers a re-sent contribution for
-//     a round that already completed from a small result cache, so a
-//     client that disconnected between contributing and hearing the
-//     result still converges.
+//     collective deadline. A contribution re-sent for a round that
+//     already completed is answered from the hub's cache of completed
+//     results, so a client that disconnected between contributing and
+//     hearing the result still converges.
 //   * Epoch fencing. Every frame is epoch-stamped. A reconnecting client
 //     from a stale spawn generation — a worker the coordinator already
 //     declared dead and replaced — is answered kFenced and dropped, so it
-//     can never contribute to a live round.
+//     can never contribute to a live round. The hub's Reset(epoch) has
+//     the server retire the old epoch's connections before it clears.
 //   * Dead-peer visibility. The server timestamps dirty disconnects;
 //     RanksDisconnectedOver(grace) lets the coordinator's monitor fence a
 //     rank whose transport died long before a heartbeat timeout or a full
@@ -48,9 +45,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,12 +62,13 @@ namespace llm::train::dist {
 // Server (coordinator side).
 // ---------------------------------------------------------------------------
 
-class SocketServer {
+class SocketServer final : public CommHub::FrontEnd {
  public:
-  /// `address`: a Unix socket path or "tcp://HOST:PORT" ("tcp://HOST:0"
-  /// binds an ephemeral port — read bound_address() after Start).
-  SocketServer(int world_size, std::string address);
-  ~SocketServer();
+  /// Fronts `hub` (which must outlive the server) on `address`: a Unix
+  /// socket path or "tcp://HOST:PORT" ("tcp://HOST:0" binds an ephemeral
+  /// port — read bound_address() after Start).
+  SocketServer(CommHub* hub, std::string address);
+  ~SocketServer() override;
 
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
@@ -85,39 +80,23 @@ class SocketServer {
   /// The address clients must connect to. Valid after Start().
   const std::string& bound_address() const { return bound_address_; }
 
-  /// Fails every current and future round with kCancelled and pushes
-  /// kAbort to every live connection. Idempotent.
-  void AbortEpoch();
-
-  /// New epoch: clears rounds, the result cache, the abort latch, and
+  /// New epoch: retires every connection (joining its reader) and clears
   /// per-rank liveness state; connections from older epochs are fenced as
-  /// they next speak. Callers must ensure no in-epoch worker is mid-round.
-  void Reset(int64_t epoch);
+  /// they next speak. Called by the hub's Reset before it clears.
+  void Reset(int64_t epoch) override;
 
-  int64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-
-  /// Heartbeat frames received from `rank` this epoch.
-  int64_t HeartbeatCount(int rank) const;
   /// True once `rank` sent kGoodbye (orderly loop completion) this epoch.
   bool Finished(int rank) const;
   /// Waits until every rank has sent kGoodbye this epoch, or `timeout`
   /// passes; true if all did. A connection's frames are handled in order,
   /// so whatever a rank sent before its goodbye (its final telemetry
-  /// unit) has reached the sink by then.
+  /// unit) has reached the hub by then.
   bool AwaitAllFinished(std::chrono::milliseconds timeout);
   /// Ranks that connected this epoch, then dirtily lost their connection
   /// more than `grace` ago and have not reconnected or said goodbye. The
   /// monitor's fast path: transport death is visible here long before a
   /// heartbeat or collective timeout expires.
   std::vector<int> RanksDisconnectedOver(std::chrono::milliseconds grace) const;
-
-  /// Receives every intact kTelemetry payload (an encoded
-  /// obs::RankTelemetry blob, opaque to the transport). Called from the
-  /// per-connection reader threads; the sink must be thread-safe. A
-  /// payload that fails its wire CRC is dropped, never delivered.
-  using TelemetrySink =
-      std::function<void(int rank, const std::vector<uint8_t>& blob)>;
-  void SetTelemetrySink(TelemetrySink sink);
 
  private:
   struct Conn {
@@ -128,38 +107,36 @@ class SocketServer {
     std::atomic<bool> stop{false};
   };
 
-  struct Round {
-    std::vector<std::vector<float>> contrib;
-    std::vector<bool> present;
-    int num_present = 0;
-    /// 0 = live; otherwise the util::StatusCode every participant gets.
-    int32_t failed = 0;
-  };
-
   struct RankState {
-    int64_t heartbeats = 0;
     bool ever_connected = false;
     bool finished = false;
     bool connected = false;
     std::chrono::steady_clock::time_point disconnected_at{};
   };
 
+  // CommHub::FrontEnd: push verdicts and aborts to the remote ranks.
+  void RoundSettled(int64_t seq, const CommHub::Verdict& verdict,
+                    const std::vector<int>& waiting) override;
+  void AbortEpoch() override;
+
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Conn> conn);
   void HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   /// Sends under the connection's write mutex; counts frames/bytes.
   void SendOn(const std::shared_ptr<Conn>& conn, const Frame& frame);
+  /// Sends `frame` to each of `ranks` that has a live connection.
+  void Push(Frame frame, const std::vector<int>& ranks);
+  /// Stops and unpublishes every connection (call with mu_ held); the
+  /// caller reaps what it returns after unlocking.
+  std::vector<std::shared_ptr<Conn>> RetireAllLocked();
   /// Joins a retired connection's reader, then closes its fd under the
   /// write mutex, so a SendOn from another thread (the accept loop's
   /// hello-ack, another rank's reader pushing a result) never uses the fd
   /// as it closes or after.
   static void ReapConn(Conn& conn);
-  /// Sends `frame` to every present contributor of `round` (call with
-  /// mu_ held; sends happen after collecting the live conns).
-  void FailRoundLocked(int64_t seq, Round* round, int32_t code,
-                       std::vector<std::shared_ptr<Conn>>* notify);
   void NoteDisconnect(int rank, bool dirty);
 
+  CommHub* const hub_;
   const int world_size_;
   const std::string address_;
   std::string bound_address_;
@@ -169,32 +146,15 @@ class SocketServer {
   std::atomic<int64_t> epoch_{0};
 
   mutable std::mutex mu_;
-  bool aborted_ = false;                         // guarded by mu_
-  std::map<int64_t, Round> rounds_;              // guarded by mu_
-  /// Encoded results of recently completed rounds, answering re-sent
-  /// contributions after a reconnect race. Bounded FIFO.
-  std::map<int64_t, std::vector<uint8_t>> done_;  // guarded by mu_
-  std::deque<int64_t> done_order_;                // guarded by mu_
   std::vector<std::shared_ptr<Conn>> by_rank_;    // guarded by mu_
   std::vector<std::shared_ptr<Conn>> graveyard_;  // guarded by mu_
   std::vector<RankState> ranks_;                  // guarded by mu_
   std::condition_variable finished_cv_;           // a rank said goodbye
-  TelemetrySink telemetry_sink_;                  // guarded by mu_
 };
 
 // ---------------------------------------------------------------------------
 // Client (worker side).
 // ---------------------------------------------------------------------------
-
-struct SocketCommOptions {
-  /// Per-attempt connect + handshake budget.
-  std::chrono::milliseconds connect_timeout{2000};
-  /// Reconnect backoff (SubmitWithRetry's discipline).
-  std::chrono::milliseconds backoff_initial{5};
-  std::chrono::milliseconds backoff_cap{200};
-  /// Seed for the deterministic backoff jitter.
-  uint64_t jitter_seed = 0x50c7e7ULL;
-};
 
 /// Comm over one socket connection to a SocketServer. Single-threaded by
 /// contract (one SocketComm per worker, used from that worker's loop);
@@ -202,8 +162,9 @@ struct SocketCommOptions {
 /// slow Exchange teardown.
 class SocketComm : public Comm {
  public:
+  /// The backoff jitter is seeded from `rank` and `epoch`.
   SocketComm(int rank, int world_size, std::string server_address,
-             int64_t epoch, SocketCommOptions options = {});
+             int64_t epoch);
   ~SocketComm() override;
 
   SocketComm(const SocketComm&) = delete;
@@ -240,12 +201,14 @@ class SocketComm : public Comm {
   /// `deadline`. Returns kCancelled immediately once fenced.
   util::Status EnsureConnected(SteadyClock::time_point deadline);
   void CloseConn(bool dirty);
+  /// Sends `frame` stamped with this rank and epoch under a short
+  /// deadline, only on a live connection (Heartbeat, ShipTelemetry).
+  void SendBestEffort(Frame frame);
 
   const int rank_;
   const int world_size_;
   const std::string address_;
   const int64_t epoch_;
-  const SocketCommOptions options_;
 
   std::mutex mu_;       // serializes fd use across Exchange/Heartbeat
   int fd_ = -1;         // guarded by mu_

@@ -46,7 +46,8 @@ enum class FrameType : uint16_t {
   kHelloAck = 2,      // server -> client: registration accepted
   kContribution = 3,  // client -> server: Exchange payload (floats)
   kResult = 4,        // server -> client: gathered round (EncodeGather)
-  kError = 5,         // server -> client: round failed; status in header
+  kError = 5,         // server -> client: round failed; status code in
+                      //   header, its message as the payload
   kHeartbeat = 6,     // client -> server: liveness tick
   kPoison = 7,        // client -> server: my wait on `seq` expired
   kFenced = 8,        // server -> client: your epoch is stale; go away

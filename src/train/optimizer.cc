@@ -104,30 +104,30 @@ AdamW::AdamW(std::vector<core::Variable> params, const AdamWOptions& options)
   }
 }
 
+void AdamWUpdate(const AdamWOptions& options, float lr, int64_t step,
+                 core::Variable& p, core::Tensor& m, core::Tensor& v) {
+  if (!p.has_grad()) return;
+  const float b1 = options.beta1, b2 = options.beta2;
+  const float bias1 = 1.0f - std::pow(b1, static_cast<float>(step));
+  const float bias2 = 1.0f - std::pow(b2, static_cast<float>(step));
+  const core::Tensor& g = p.grad();
+  core::Tensor& w = p.mutable_value();
+  const bool decay = options.weight_decay > 0.0f && w.ndim() >= 2;
+  for (int64_t j = 0; j < w.numel(); ++j) {
+    m[j] = b1 * m[j] + (1.0f - b1) * g[j];
+    v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
+    const float mhat = m[j] / bias1;
+    const float vhat = v[j] / bias2;
+    float update = mhat / (std::sqrt(vhat) + options.eps);
+    if (decay) update += options.weight_decay * w[j];
+    w[j] -= lr * update;
+  }
+}
+
 void AdamW::Step() {
   ++step_;
-  const float b1 = options_.beta1, b2 = options_.beta2;
-  const float bias1 =
-      1.0f - std::pow(b1, static_cast<float>(step_));
-  const float bias2 =
-      1.0f - std::pow(b2, static_cast<float>(step_));
   for (size_t i = 0; i < params_.size(); ++i) {
-    core::Variable& p = params_[i];
-    if (!p.has_grad()) continue;
-    const core::Tensor& g = p.grad();
-    core::Tensor& w = p.mutable_value();
-    core::Tensor& m = m_[i];
-    core::Tensor& v = v_[i];
-    const bool decay = options_.weight_decay > 0.0f && w.ndim() >= 2;
-    for (int64_t j = 0; j < w.numel(); ++j) {
-      m[j] = b1 * m[j] + (1.0f - b1) * g[j];
-      v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
-      const float mhat = m[j] / bias1;
-      const float vhat = v[j] / bias2;
-      float update = mhat / (std::sqrt(vhat) + options_.eps);
-      if (decay) update += options_.weight_decay * w[j];
-      w[j] -= lr_ * update;
-    }
+    AdamWUpdate(options_, lr_, step_, params_[i], m_[i], v_[i]);
   }
 }
 

@@ -85,6 +85,13 @@ struct AdamWOptions {
   float weight_decay = 0.0f;
 };
 
+/// One AdamW update of parameter `p` (skipped when it has no gradient)
+/// at optimizer step `step` (1-based) with learning rate `lr`, moving its
+/// moments `m` and `v`. AdamW and dist::ShardedAdamW both step through
+/// it, so a one-rank shard is bit-exact with AdamW by construction.
+void AdamWUpdate(const AdamWOptions& options, float lr, int64_t step,
+                 core::Variable& p, core::Tensor& m, core::Tensor& v);
+
 class AdamW : public Optimizer {
  public:
   AdamW(std::vector<core::Variable> params, const AdamWOptions& options);

@@ -110,20 +110,32 @@ float MaxParamDiff(const nn::Module& a, const nn::Module& b) {
   return worst;
 }
 
-TEST(DistChaosTest, SeededFaultStormsAlwaysRecoverToTheExactResult) {
+// The storm's schedule runs unchanged on each transport: the comm-* sites
+// fire in the hub's deposit, which both carriers share.
+class DistChaosStormTest : public ::testing::TestWithParam<CommTransport> {};
+
+std::string TransportName(CommTransport transport) {
+  return transport == CommTransport::kThread ? "thread" : "socket";
+}
+
+TEST_P(DistChaosStormTest, SeededFaultStormsAlwaysRecoverToTheExactResult) {
   constexpr int kSchedules = 26;
   const int worlds[] = {2, 3};
+  const CommTransport transport = GetParam();
+  const std::string tag = TransportName(transport);
 
-  // Unfaulted reference run per world size: the ground truth every
-  // faulted schedule must reproduce exactly.
+  // Unfaulted reference run per world size on this transport: the ground
+  // truth every faulted schedule must reproduce exactly.
   std::map<int, std::unique_ptr<DistTrainer>> reference;
   std::vector<std::unique_ptr<ScratchDir>> ref_dirs;
   for (int world : worlds) {
     ref_dirs.push_back(std::make_unique<ScratchDir>(
-        "tfmr_chaos_ref_w" + std::to_string(world)));
+        "tfmr_chaos_ref_" + tag + "_w" + std::to_string(world)));
+    DistTrainerOptions ref_opts =
+        ChaosOptions(world, ref_dirs.back()->path());
+    ref_opts.transport = transport;
     reference[world] = std::make_unique<DistTrainer>(
-        ChaosOptions(world, ref_dirs.back()->path()), MakeReplica,
-        MakeDistLoss());
+        ref_opts, MakeReplica, MakeDistLoss());
     ASSERT_TRUE(reference[world]->Run().ok());
     ASSERT_EQ(reference[world]->history().size(),
               static_cast<size_t>(kSteps));
@@ -135,8 +147,9 @@ TEST(DistChaosTest, SeededFaultStormsAlwaysRecoverToTheExactResult) {
   for (int schedule = 0; schedule < kSchedules; ++schedule) {
     SCOPED_TRACE("schedule " + std::to_string(schedule));
     const int world = worlds[schedule % 2];
-    ScratchDir dir("tfmr_chaos_s" + std::to_string(schedule));
+    ScratchDir dir("tfmr_chaos_" + tag + "_s" + std::to_string(schedule));
     DistTrainerOptions opts = ChaosOptions(world, dir.path());
+    opts.transport = transport;
     // A third of the schedules use a straggle that exceeds the collective
     // timeout (a de-facto stall); the rest a benign slowdown.
     opts.straggle_ms = (schedule % 3 == 0) ? 400 : 30;
@@ -214,19 +227,26 @@ TEST(DistChaosTest, SeededFaultStormsAlwaysRecoverToTheExactResult) {
   EXPECT_GT(total_straggles, 0);
   EXPECT_GT(total_recoveries, 0);
   std::printf(
-      "[dist-chaos] %d schedules: %lld kills, %lld drops, %lld corrupt, "
-      "%lld straggles, %d recoveries\n",
-      kSchedules, static_cast<long long>(total_kills),
+      "[dist-chaos/storm-%s] %d schedules: %lld kills, %lld drops, "
+      "%lld corrupt, %lld straggles, %d recoveries\n",
+      tag.c_str(), kSchedules, static_cast<long long>(total_kills),
       static_cast<long long>(total_drops),
       static_cast<long long>(total_corrupt),
       static_cast<long long>(total_straggles), total_recoveries);
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Transports, DistChaosStormTest,
+    ::testing::Values(CommTransport::kThread, CommTransport::kSocket),
+    [](const ::testing::TestParamInfo<CommTransport>& info) {
+      return TransportName(info.param);
+    });
+
 // The same contract over the socket transport, under wire-level faults:
 // dropped frames, payloads corrupted after the CRC was taken, stalled
 // writes that blow the collective deadline, and connections torn down
 // mid-send. Some of these are absorbed silently (a disconnect reconnects
-// within the deadline; the server's result cache answers re-asks), some
+// within the deadline; the hub's result cache answers re-asks), some
 // cost a recovery epoch — none may cost correctness.
 TEST(DistChaosTest, SocketWireFaultStormsRecoverToTheExactResult) {
   constexpr int kSchedules = 16;

@@ -225,7 +225,8 @@ class SocketCollectivesTest : public ::testing::Test {
   void RunWorld(int world, const std::string& dir,
                 const std::function<void(int, SocketComm&)>& fn,
                 int64_t epoch = 0) {
-    SocketServer server(world, dir + "/comm.sock");
+    CommHub hub(world);
+    SocketServer server(&hub, dir + "/comm.sock");
     ASSERT_TRUE(server.Start().ok());
     server.Reset(epoch);
     std::vector<std::thread> ranks;
@@ -293,7 +294,8 @@ TEST_F(SocketCollectivesTest, ZeroLengthExchangeCompletes) {
 
 TEST_F(SocketCollectivesTest, StaleEpochClientIsFencedPromptly) {
   ScratchDir dir("tfmr_sock_fence");
-  SocketServer server(2, dir.path() + "/comm.sock");
+  CommHub hub(2);
+  SocketServer server(&hub, dir.path() + "/comm.sock");
   ASSERT_TRUE(server.Start().ok());
   server.Reset(/*epoch=*/5);
 
@@ -310,7 +312,8 @@ TEST_F(SocketCollectivesTest, StaleEpochClientIsFencedPromptly) {
 
 TEST_F(SocketCollectivesTest, ReconnectingClientConvergesThroughTheCache) {
   ScratchDir dir("tfmr_sock_reconnect");
-  SocketServer server(1, dir.path() + "/comm.sock");
+  CommHub hub(1);
+  SocketServer server(&hub, dir.path() + "/comm.sock");
   ASSERT_TRUE(server.Start().ok());
   server.Reset(0);
   SocketComm comm(0, 1, server.bound_address(), 0);
@@ -333,7 +336,8 @@ TEST_F(SocketCollectivesTest, PoisonedRoundFailsFastForEveryParticipant) {
   // Rank 1 never contributes to round 0. Rank 0's short wait expires and
   // poisons the round; rank 1's later join on the poisoned round gets a
   // prompt kCancelled, never its own full timeout.
-  SocketServer server(2, dir.path() + "/comm.sock");
+  CommHub hub(2);
+  SocketServer server(&hub, dir.path() + "/comm.sock");
   ASSERT_TRUE(server.Start().ok());
   server.Reset(0);
   util::Status r0, r1;
@@ -364,7 +368,8 @@ TEST_F(SocketCollectivesTest, PoisonedRoundFailsFastForEveryParticipant) {
 // has to wait out a heartbeat flatline or a full collective timeout.
 TEST_F(SocketCollectivesTest, DirtyDisconnectIsVisibleWithinTheGrace) {
   ScratchDir dir("tfmr_sock_blindspot");
-  SocketServer server(2, dir.path() + "/comm.sock");
+  CommHub hub(2);
+  SocketServer server(&hub, dir.path() + "/comm.sock");
   ASSERT_TRUE(server.Start().ok());
   server.Reset(0);
 

@@ -1,15 +1,17 @@
 // Data-parallel training runtime tests: CommHub collectives (all-gather,
-// deterministic all-reduce, poisoned-round timeouts, CRC detection,
-// abort), ZeRO-1 ShardedAdamW (partition determinism, bit-exactness vs
-// plain AdamW), and DistTrainer end-to-end — equal-global-batch
-// equivalence with the single-process Trainer and checkpoint-based
-// recovery from killed, stalled, and corrupted-collective workers.
+// deterministic all-reduce, poisoned-round timeouts, drop and CRC
+// detection on both transports, abort), ZeRO-1 ShardedAdamW (partition
+// determinism, bit-exactness vs plain AdamW), and DistTrainer end-to-end
+// — equal-global-batch equivalence with the single-process Trainer and
+// checkpoint-based recovery from killed, stalled, and corrupted-collective
+// workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "train/dist/comm.h"
 #include "train/dist/dist_trainer.h"
 #include "train/dist/sharded_adamw.h"
+#include "train/dist/socket_transport.h"
 #include "train/optimizer.h"
 #include "train/trainer.h"
 #include "util/fault.h"
@@ -229,19 +232,43 @@ TEST_F(DistTest, AbortAllCancelsWaitersAndResetRearms) {
   r0.join();
 }
 
-TEST_F(DistTest, DroppedContributionFailsTheWholeRound) {
-  CommHub hub(2);
+// The comm-* fault sites fire in the hub's deposit, which both carriers
+// share: in-process ranks on the hub itself, and SocketComm ranks against
+// a SocketServer in front of it.
+class DistCommFaultTest : public DistTest,
+                          public ::testing::WithParamInterface<CommTransport> {
+ protected:
+  // Runs `fn(rank, comm)` on `world` rank threads over the transport under
+  // test; returns once every rank and the server are done.
+  void RunRanks(int world, const std::function<void(int, Comm&)>& fn) {
+    CommHub hub(world);
+    ScratchDir dir("tfmr_comm_fault");
+    std::unique_ptr<SocketServer> server;
+    if (GetParam() == CommTransport::kSocket) {
+      server = std::make_unique<SocketServer>(&hub, dir.path() + "/comm.sock");
+      ASSERT_TRUE(server->Start().ok());
+    }
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < world; ++r) {
+      ranks.emplace_back([&, r] {
+        if (!server) return fn(r, hub);
+        SocketComm comm(r, world, server->bound_address(), /*epoch=*/0);
+        fn(r, comm);
+      });
+    }
+    for (auto& t : ranks) t.join();
+    if (server) server->Stop();  // every deposit has reached the hub
+  }
+};
+
+TEST_P(DistCommFaultTest, DroppedContributionFailsTheWholeRound) {
   FaultInjector::Global().ArmAt(FaultSite::kCommDrop, {0});
   std::vector<util::Status> status(2);
-  std::vector<std::thread> ranks;
-  for (int r = 0; r < 2; ++r) {
-    ranks.emplace_back([&hub, &status, r] {
-      std::vector<float> data = {1.0f, 2.0f};
-      status[static_cast<size_t>(r)] =
-          hub.AllReduceMean(r, 0, &data, milliseconds(100));
-    });
-  }
-  for (auto& t : ranks) t.join();
+  RunRanks(2, [&status](int r, Comm& comm) {
+    std::vector<float> data = {1.0f, 2.0f};
+    status[static_cast<size_t>(r)] =
+        comm.AllReduceMean(r, 0, &data, milliseconds(100));
+  });
   for (int r = 0; r < 2; ++r) {
     const util::StatusCode code = status[static_cast<size_t>(r)].code();
     EXPECT_TRUE(code == util::StatusCode::kDeadlineExceeded ||
@@ -254,19 +281,14 @@ TEST_F(DistTest, DroppedContributionFailsTheWholeRound) {
   EXPECT_EQ(drop.fired, 1);
 }
 
-TEST_F(DistTest, CorruptedContributionDetectedByChecksum) {
-  CommHub hub(2);
+TEST_P(DistCommFaultTest, CorruptedContributionDetectedByChecksum) {
   FaultInjector::Global().ArmAt(FaultSite::kCommCorrupt, {0});
   std::vector<util::Status> status(2);
-  std::vector<std::thread> ranks;
-  for (int r = 0; r < 2; ++r) {
-    ranks.emplace_back([&hub, &status, r] {
-      std::vector<float> data = {1.5f, -2.5f, 3.5f};
-      status[static_cast<size_t>(r)] =
-          hub.AllReduceMean(r, 0, &data, milliseconds(2000));
-    });
-  }
-  for (auto& t : ranks) t.join();
+  RunRanks(2, [&status](int r, Comm& comm) {
+    std::vector<float> data = {1.5f, -2.5f, 3.5f};
+    status[static_cast<size_t>(r)] =
+        comm.AllReduceMean(r, 0, &data, milliseconds(2000));
+  });
   for (int r = 0; r < 2; ++r) {
     EXPECT_EQ(status[static_cast<size_t>(r)].code(),
               util::StatusCode::kInternal)
@@ -275,6 +297,13 @@ TEST_F(DistTest, CorruptedContributionDetectedByChecksum) {
               std::string::npos);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, DistCommFaultTest,
+    ::testing::Values(CommTransport::kThread, CommTransport::kSocket),
+    [](const ::testing::TestParamInfo<CommTransport>& info) {
+      return info.param == CommTransport::kThread ? "thread" : "socket";
+    });
 
 // ---------------------------------------------------------------------------
 // ShardedAdamW: partition and update semantics.

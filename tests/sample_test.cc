@@ -271,11 +271,18 @@ TEST(CachedGenerateTest, SessionReuseMatchesFreshSessions) {
   opts.sampler.top_k = 4;
   nn::GptInferenceSession session(&model);
   const std::vector<std::vector<int64_t>> prefixes = {{1, 2}, {5}, {9, 3, 4}};
-  for (const auto& prefix : prefixes) {
-    util::Rng r1(42), r2(42);
-    auto fresh = GenerateCached(model, prefix, opts, &r1);
-    auto reused = GenerateWithSession(&session, prefix, opts, &r2);
-    EXPECT_EQ(fresh, reused);
+  // 6 new tokens end by length; 12 run into the window of 10.
+  for (int64_t max_new : {6, 12}) {
+    opts.max_new_tokens = max_new;
+    for (const auto& prefix : prefixes) {
+      util::Rng r1(42), r2(42);
+      auto fresh = GenerateCached(model, prefix, opts, &r1);
+      auto reused = GenerateWithSession(&session, prefix, opts, &r2);
+      EXPECT_EQ(fresh, reused);
+      // The last token is never fed: no step would read its logits.
+      EXPECT_EQ(session.position(),
+                static_cast<int64_t>(prefix.size() + reused.size()) - 1);
+    }
   }
 }
 

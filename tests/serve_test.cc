@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sample/sampler.h"
 #include "serve/inference_server.h"
 #include "serve/kv_cache_pool.h"
@@ -262,11 +263,21 @@ TEST(InferenceServerTest, StopTokenAndFinishReasons) {
   EXPECT_EQ(stopped.reason, FinishReason::kStop);
   EXPECT_EQ(stopped.tokens, probed.tokens);
 
-  // A request that outruns the model window finishes with kWindow.
+  // A request that outruns the model window finishes with kWindow. Its
+  // 15th token would fill the window's last slot, whose logits no step
+  // reads, so the lane feeds the prompt token and 14 sampled ones only.
+  const obs::Histogram* steps =
+      obs::MetricsRegistry::Global().GetHistogram("nn.decode_step_ms");
   GenerateRequest window_request = MakeRequest({1}, 3, 100);
+  obs::EnableProfiling(true);
+  const uint64_t before = steps->count();
   RequestResult windowed = server.GenerateBlocking(window_request);
+  const uint64_t fed = steps->count() - before;
+  obs::EnableProfiling(false);
   ASSERT_TRUE(windowed.status.ok());
   EXPECT_EQ(windowed.reason, FinishReason::kWindow);
+  EXPECT_EQ(windowed.tokens.size(), 15u);
+  EXPECT_EQ(fed, 15u);
   EXPECT_EQ(windowed.tokens, SingleStreamReference(model, window_request));
 }
 
