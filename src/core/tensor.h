@@ -130,7 +130,8 @@ class Tensor {
 
   // Storage for `shape` with every element unset, for the random
   // constructors, which write each one. Its pages stay untouched until
-  // then, so a threaded fill takes their first-touch faults in parallel.
+  // then, so a threaded fill takes their first-touch faults in parallel;
+  // the whole 2 MiB pages inside it are advised as huge pages.
   static Tensor Unset(Shape shape);
 
   // Replaces the storage with a copy of src[0, n): sized unset, then

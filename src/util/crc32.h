@@ -1,6 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the integrity
 // checksum used by the v2 checkpoint format to detect torn writes and
-// bit-rot per tensor. Table-driven, no dependencies.
+// bit-rot per tensor, and by the dist wire and collectives. Slicing-by-8
+// tables, no dependencies.
 #ifndef TFMR_UTIL_CRC32_H_
 #define TFMR_UTIL_CRC32_H_
 

@@ -4,8 +4,8 @@
 // int64 <-> double conversion, and no branch but two selects. This is the
 // only file built with -fno-math-errno (so std::sqrt becomes one
 // instruction) and -fno-trapping-math (so the selects become blends); the
-// kernel is built twice from one body, for the baseline target and for
-// AVX2 with FMA, and Best() picks once by CPUID.
+// kernel is built three times from one body, for the baseline target, for
+// AVX2 with FMA and for AVX-512 with FMA, and Best() picks once by CPUID.
 #include "util/normal_kernel.h"
 
 #include <array>
@@ -141,9 +141,20 @@ void Baseline(const uint64_t* a, const uint64_t* b, size_t pairs, double* z0,
   Body(a, b, pairs, z0, z1);
 }
 
+[[gnu::target("avx512f,fma")]] void Avx512Fma(const uint64_t* a,
+                                              const uint64_t* b, size_t pairs,
+                                              double* z0, double* z1) {
+  Body(a, b, pairs, z0, z1);
+}
+
 bool HasAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+
+bool HasAvx512Fma() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
 }
 #endif
 
@@ -151,9 +162,10 @@ bool HasAvx2Fma() {
 
 std::span<const Copy> Copies() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const std::array<Copy, 2> copies = {
+  static const std::array<Copy, 3> copies = {
       Copy{"baseline", &Baseline, true},
-      Copy{"avx2,fma", &Avx2Fma, HasAvx2Fma()}};
+      Copy{"avx2,fma", &Avx2Fma, HasAvx2Fma()},
+      Copy{"avx512f,fma", &Avx512Fma, HasAvx512Fma()}};
 #else
   static const std::array<Copy, 1> copies = {
       Copy{"baseline", &Baseline, true}};

@@ -1,10 +1,11 @@
 // Internal to Rng::FillNormal (rng.cc); not part of the public util API.
 //
-// A vectorizable Box–Muller kernel for blocks of raw xoshiro pairs, and the
+// A vectorizable Box–Muller kernel for blocks of raw xoshiro pairs, the
 // rounding check that decides when one of its variates may stand for the
-// libm one. The kernel is accurate to about 2^-50 relative, not bit-exact;
-// FillNormal keeps a kernel value only when the check proves it rounds to
-// the same float that `static_cast<float>(Normal(mean, stddev))` gives, and
+// libm one, and the jump that takes the generator to a chunk's start. The
+// kernel is accurate to about 2^-50 relative, not bit-exact; FillNormal
+// keeps a kernel value only when the check proves it rounds to the same
+// float that `static_cast<float>(Normal(mean, stddev))` gives, and
 // recomputes the pair with libm otherwise.
 #ifndef TFMR_UTIL_NORMAL_KERNEL_H_
 #define TFMR_UTIL_NORMAL_KERNEL_H_
@@ -42,6 +43,12 @@ Kernel Best();
 /// when every double within 2^-40 * (|mean| + |stddev * z|) of
 /// mean + stddev * z rounds to that one float, unless it is +-0 or NaN.
 bool KeepFloat(double mean, double stddev, double z, float* out);
+
+/// Defined in rng.cc. Moves the xoshiro256 state s[0, 4) to where
+/// Rng::kFillNormalChunk NextU64() calls would leave it, in one jump of 256
+/// state updates: how a parallel FillNormal reaches each whole chunk's
+/// start.
+void JumpChunk(uint64_t* s);
 
 }  // namespace llm::util::normal_kernel
 

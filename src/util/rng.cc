@@ -121,20 +121,22 @@ size_t AllowedCpus() {
 constexpr size_t kChunkPairs = Rng::kFillNormalChunk / 2;
 
 // FillPairs split at fixed offsets: chunk k starts 2 * k * kChunkPairs
-// draws into the stream. The caller walks the state forward, doing only
-// the state update (a few percent of the work), and publishes each
-// chunk's start state; workers claim chunks as they come and do the
-// log/sincos/sqrt. The caller joins the claiming once its walk is done,
-// so `threads` threads compute, and a stalled one delays only the chunk
-// it holds. A thread that fails to spawn just means fewer workers: the
-// caller alone would still fill every chunk.
+// draws into the stream. The caller publishes each chunk's start state,
+// reaching the next one by one JumpChunk; workers claim chunks as they
+// come and do the log/sincos/sqrt. The caller joins the claiming once it
+// has published them all, so `threads` threads compute, and a stalled one
+// delays only the chunk it holds. The last chunk's filler leaves its state
+// past the last pair, which is where s ends. A thread that fails to spawn
+// just means fewer workers: the caller alone would still fill every chunk.
 double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
                          double stddev, size_t threads) {
   const size_t chunks = (pairs + kChunkPairs - 1) / kChunkPairs;
   std::vector<std::array<uint64_t, 4>> starts(chunks);
   std::atomic<size_t> published{0};  // starts[0, published) are final
   std::atomic<size_t> next{0};       // next chunk to claim
-  double last_z1 = 0.0;              // written by the last chunk's filler
+  // Written by the last chunk's filler: its final state and second variate.
+  std::array<uint64_t, 4> end{};
+  double last_z1 = 0.0;
   const auto claim = [&] {
     while (true) {
       const size_t k = next.fetch_add(1, std::memory_order_relaxed);
@@ -147,7 +149,10 @@ double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
       const double z1 = FillPairs(state.data(), out + 2 * begin,
                                   std::min(kChunkPairs, pairs - begin), mean,
                                   stddev);
-      if (k + 1 == chunks) last_z1 = z1;
+      if (k + 1 == chunks) {
+        end = state;
+        last_z1 = z1;
+      }
     }
   };
   // Declared after everything `claim` touches, so that it is destroyed,
@@ -165,11 +170,11 @@ double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
   for (size_t k = 0; k < chunks; ++k) {
     std::copy(s, s + 4, starts[k].begin());
     published.store(k + 1, std::memory_order_release);
-    const size_t draws = 2 * std::min(kChunkPairs, pairs - k * kChunkPairs);
-    for (size_t i = 0; i < draws; ++i) Xoshiro(s);
+    if (k + 1 < chunks) normal_kernel::JumpChunk(s);  // chunk k is whole
   }
   claim();
   for (auto& worker : workers) worker.join();
+  std::copy(end.begin(), end.end(), s);
   return last_z1;
 }
 
@@ -190,6 +195,34 @@ bool KeepFloat(double mean, double stddev, double z, float* out) {
   const float hi = static_cast<float>(y + slack);
   *out = lo;
   return (lo == hi) & (lo != 0.0f);  // NaN compares unequal
+}
+
+// x^8192 mod the characteristic polynomial of the xoshiro256 state update,
+// low word first. The update is linear over GF(2), and by Cayley–Hamilton
+// 8192 updates are the same map as this polynomial in the update: the XOR,
+// over its set bits j, of the state after j updates. Blackman and Vigna's
+// jump() applies x^(2^128) this way; the derivation that gives these
+// words (Berlekamp–Massey on the state's bits) gives theirs too.
+constexpr uint64_t kChunkJump[4] = {
+    0x669da12373880674ULL, 0xb1df898a4a6f1548ULL, 0x32104b94fe2534d3ULL,
+    0xda66e09e52b341d1ULL};
+static_assert(Rng::kFillNormalChunk == 8192,
+              "kChunkJump is the jump polynomial for 8192 steps");
+
+// Consumes the words as jump() consumes its constants, but with a mask per
+// bit in place of jump()'s branch on it: inside a parallel fill, the masked
+// loop measured faster, although a loop of nothing but jumps runs the
+// branch faster once its predictor has learned the words.
+void JumpChunk(uint64_t* s) {
+  uint64_t t[4] = {0, 0, 0, 0};
+  for (const uint64_t word : kChunkJump) {
+    for (int bit = 0; bit < 64; ++bit) {
+      const uint64_t mask = 0 - ((word >> bit) & 1);
+      for (int i = 0; i < 4; ++i) t[i] ^= s[i] & mask;
+      Xoshiro(s);
+    }
+  }
+  std::copy(t, t + 4, s);
 }
 
 }  // namespace normal_kernel

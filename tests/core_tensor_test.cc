@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "nn/transformer.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace llm::core {
@@ -125,10 +127,15 @@ TEST(TensorTest, RandomNormalStats) {
 }
 
 // {301, 1000} is large enough for the threaded fill, {7, 3} is filled
-// inline and {0, 5} has no storage. Float mean/stddev as the nn layers pass
-// them, and an odd draw before so the fill starts on a cached variate.
+// inline and {0, 5} has no storage. {1025, 2049} is about 8 MiB: storage
+// that spans whole 2 MiB pages, which Unset advises as huge pages, and
+// partial ones at both ends (whether the kernel grants them is the host's
+// setting, which the bytes must not depend on). Float mean/stddev as the
+// nn layers pass them, and an odd draw before so the fill starts on a
+// cached variate.
 TEST(TensorTest, RandomNormalMatchesSequentialDraws) {
-  for (const Shape& shape : {Shape{301, 1000}, Shape{7, 3}, Shape{0, 5}}) {
+  for (const Shape& shape :
+       {Shape{301, 1000}, Shape{7, 3}, Shape{0, 5}, Shape{1025, 2049}}) {
     SCOPED_TRACE(ShapeToString(shape));
     util::Rng fill(44), loop(44);
     fill.Normal();
@@ -145,6 +152,35 @@ TEST(TensorTest, RandomNormalMatchesSequentialDraws) {
     EXPECT_EQ(
         std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)), 0);
   }
+}
+
+// The serving model bench_e2e builds (the config is a copy of
+// ServingConfig() in bench/e2e/bench_e2e.cc): its weights, in
+// NamedParameters() order, and the generator after them must keep their
+// bytes across every change to weight init (threads, kernel copies,
+// jumps, page advice).
+TEST(TensorTest, ServingModelWeightsKeepTheirBytes) {
+  nn::GPTConfig cfg;
+  cfg.vocab_size = 32768;
+  cfg.max_seq_len = 48;
+  cfg.d_model = 256;
+  cfg.n_layer = 2;
+  cfg.n_head = 8;
+  cfg.tie_embeddings = true;
+  util::Rng rng(3);
+  const nn::GPTModel model(cfg, &rng);
+  uint32_t crc = 0;
+  for (const auto& [name, param] : model.NamedParameters()) {
+    const Tensor& w = param.value();
+    crc = util::Crc32(w.data(), static_cast<size_t>(w.numel()) * sizeof(float),
+                      crc);
+  }
+  EXPECT_EQ(crc, 0x0a2dcbf1u);
+  const util::RngState state = rng.SaveState();
+  EXPECT_FALSE(state.have_cached_normal);
+  const double cached = 0x1.0695642a7a345p-3;
+  EXPECT_EQ(std::memcmp(&state.cached_normal, &cached, sizeof(double)), 0);
+  EXPECT_EQ(rng.NextU64(), 3785851527499389832ULL);
 }
 
 TEST(TensorTest, RandomUniformBounds) {

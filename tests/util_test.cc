@@ -1,4 +1,5 @@
-// Tests for the utility substrate: Status/StatusOr, Rng, Table, linalg.
+// Tests for the utility substrate: Status/StatusOr, Rng, Crc32, Table,
+// linalg.
 #include <gtest/gtest.h>
 
 #include <sched.h>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/fault.h"
 #include "util/linalg.h"
 #include "util/normal_kernel.h"
@@ -387,13 +389,29 @@ size_t ExpectFillMatchesLoop(size_t n, bool cached, double mean,
   return not_kept;
 }
 
+// The jump a parallel fill takes to each whole chunk's start lands where
+// kFillNormalChunk draws do, from any state.
+TEST(RngTest, ChunkJumpEqualsChunkOfDraws) {
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng walk(seed);
+    RngState jumped = walk.SaveState();
+    normal_kernel::JumpChunk(jumped.s);
+    for (size_t i = 0; i < Rng::kFillNormalChunk; ++i) walk.NextU64();
+    const RngState want = walk.SaveState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(jumped.s[i], want.s[i]);
+  }
+}
+
 TEST(RngTest, FillNormalMatchesSequentialLoop) {
   constexpr size_t kChunk = Rng::kFillNormalChunk;
-  // From 3 * kChunk + 1 up these run the threaded path, given more than
-  // one allowed CPU.
+  // From 2 * kChunk up these run the threaded path, given more than one
+  // allowed CPU; 2 * kChunk only without a cached variate, as exactly two
+  // whole chunks, the smallest threaded fill. 3 * kChunk + 3 ends in a
+  // one-pair chunk, whose filler's state the generator ends with.
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, kChunk - 1,
-                   kChunk, kChunk + 1, 3 * kChunk + 1, size_t{1} << 20,
-                   (size_t{1} << 20) + 1}) {
+                   kChunk, kChunk + 1, 2 * kChunk, 3 * kChunk + 1,
+                   3 * kChunk + 3, size_t{1} << 20, (size_t{1} << 20) + 1}) {
     for (bool cached : {false, true}) {
       ExpectFillMatchesLoop(n, cached, 0.0, 1.0);
       const size_t not_kept = ExpectFillMatchesLoop(n, cached, -0.75, 2.5);
@@ -463,6 +481,53 @@ TEST(RngTest, FillNormalDoesNotDependOnThreadCount) {
   ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
   EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), kN * sizeof(float)), 0);
   EXPECT_EQ(a.NextU64(), b.NextU64());
+}
+
+// CRC-32 one bit at a time, straight from the polynomial.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0 - (c & 1u)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, SeedChainsIncrementally) {
+  std::vector<unsigned char> buf(300);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{13},
+                       size_t{64}, size_t{299}, size_t{300}}) {
+    EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split,
+                    Crc32(buf.data(), split)),
+              whole)
+        << split;
+  }
+}
+
+// Every length 0-64 at every start offset 0-7, so each mix of the 8-byte
+// loop and the byte tail meets every alignment, then one 1 MiB buffer.
+TEST(Crc32Test, MatchesBitwiseReference) {
+  Rng rng(99);
+  std::vector<unsigned char> buf(size_t{1} << 20);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  EXPECT_EQ(Crc32(buf.data(), buf.size()),
+            BitwiseCrc32(buf.data(), buf.size()));
 }
 
 TEST(FaultInjectorTest, FiresAtExactOccurrences) {
