@@ -14,6 +14,12 @@ int64_t NowNs() {
       .count();
 }
 
+// How many times Record re-reads a slot that another writer holds before
+// it drops its event. Record may run in a fatal-signal handler that
+// interrupted a Record on the same thread, so it must never wait for the
+// holder without bound.
+constexpr int kClaimTries = 1024;
+
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -71,16 +77,31 @@ void FlightRecorder::Record(FlightEventType type, int32_t a, int64_t b,
   if (!enabled()) return;
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  // Seqlock: odd marks the slot mid-write; the even publish value encodes
-  // the ticket, so a reader can both validate the payload and order it.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.ts_ns.store(NowNs(), std::memory_order_relaxed);
+  // Seqlock with one writer per slot: claim it by moving `seq` from even
+  // (empty or published) to this ticket's odd value; the even publish
+  // value encodes the ticket, so a reader can both validate the payload
+  // and order it. A slot already holding a newer ticket means the ring
+  // lapped this event before it was written: drop it.
+  const uint64_t writing = 2 * ticket + 1;
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (int tries = 0;; ++tries) {
+    if (seq > writing || tries == kClaimTries) return;
+    if (seq % 2 == 1) {
+      seq = slot.seq.load(std::memory_order_relaxed);  // held: re-read
+    } else if (slot.seq.compare_exchange_weak(seq, writing,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Release stores: a reader that sees any of them also sees the claim.
+  slot.ts_ns.store(NowNs(), std::memory_order_release);
   slot.type_a.store((static_cast<int64_t>(type) << 32) |
                         (static_cast<int64_t>(a) & 0xffffffffll),
-                    std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  slot.c.store(c, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+                    std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
+  slot.c.store(c, std::memory_order_release);
+  slot.seq.store(writing + 1, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::Dump(size_t max_events) const {
@@ -96,12 +117,15 @@ std::vector<FlightEvent> FlightRecorder::DumpSince(uint64_t min_ticket,
     const uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
     if (seq1 == 0 || (seq1 & 1) != 0) continue;  // empty or mid-write
     if (seq1 / 2 - 1 < min_ticket) continue;     // older than the delta
+    // Acquire loads keep every payload read ahead of the re-read of `seq`:
+    // the seqlock reader's acquire fence, in a form ThreadSanitizer
+    // models (it does not model fences).
     FlightEvent event;
-    event.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-    const int64_t type_a = slot.type_a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    event.c = slot.c.load(std::memory_order_relaxed);
-    const uint64_t seq2 = slot.seq.load(std::memory_order_acquire);
+    event.ts_ns = slot.ts_ns.load(std::memory_order_acquire);
+    const int64_t type_a = slot.type_a.load(std::memory_order_acquire);
+    event.b = slot.b.load(std::memory_order_acquire);
+    event.c = slot.c.load(std::memory_order_acquire);
+    const uint64_t seq2 = slot.seq.load(std::memory_order_relaxed);
     if (seq1 != seq2) continue;  // lapped mid-read
     event.ticket = seq1 / 2 - 1;
     event.type = static_cast<FlightEventType>(type_a >> 32);

@@ -7,14 +7,18 @@
 // something goes wrong, Dump() reconstructs "what was the system doing in
 // the seconds before" without rerunning under logging.
 //
-// Concurrency: Record is wait-free for writers — one relaxed fetch_add
-// claims a ticket, the slot's payload fields are relaxed atomics, and a
-// per-slot sequence number (seqlock discipline: odd while writing, even
-// when published, ticket-encoded) lets Dump detect and skip slots that
-// are mid-write or were lapped while being read. Racing producers and a
+// Concurrency: Record is lock-free and never blocks — one relaxed
+// fetch_add takes a ticket, and a CAS on the ticket's slot claims it, so
+// a slot has at most one writer at a time. A per-slot sequence number
+// (seqlock discipline: odd while its writer stores, even when published,
+// ticket-encoded) lets Dump detect and skip slots that are mid-write or
+// were lapped while being read. A writer drops its event when the slot
+// already holds a newer ticket, or when another writer still holds it
+// after a bounded number of re-reads (Record may run in a signal handler
+// that interrupted a Record on its own thread). Racing producers and a
 // concurrent dumper are TSan-clean because every shared field is atomic.
 // Events whose slot was overwritten before the dump are simply gone —
-// the recorder keeps the newest `capacity` events, nothing more.
+// the recorder keeps at most the newest `capacity` events.
 #ifndef TFMR_OBS_FLIGHT_RECORDER_H_
 #define TFMR_OBS_FLIGHT_RECORDER_H_
 
@@ -96,7 +100,8 @@ class FlightRecorder {
   /// The process-wide recorder every runtime component appends to.
   static FlightRecorder& Global();
 
-  /// Appends one event. Wait-free; a no-op while disabled.
+  /// Appends one event (or drops it, see above). Never blocks; a no-op
+  /// while disabled.
   void Record(FlightEventType type, int32_t a = 0, int64_t b = 0,
               int64_t c = 0);
 

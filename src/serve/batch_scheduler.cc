@@ -64,6 +64,7 @@ void BatchScheduler::Admit(std::shared_ptr<RequestState> state) {
   {
     std::lock_guard<std::mutex> lock(state->mu);
     state->queue_ms = queue_ms;
+    state->admitted = true;
   }
   obs::FlightRecorder::Global().Record(obs::FlightEventType::kAdmission,
                                        static_cast<int32_t>(slot),

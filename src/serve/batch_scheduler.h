@@ -116,7 +116,7 @@ class BatchScheduler {
 
   /// Leases a KV slot and joins the request to the in-flight batch at the
   /// next Tick. Caller must have checked HasFreeSlot(). Also stamps the
-  /// request's queue_ms.
+  /// request's queue_ms and marks it admitted.
   void Admit(std::shared_ptr<RequestState> state);
 
   /// Advances every active sequence by one token: expires cancelled /

@@ -1,7 +1,6 @@
 #include "serve/fleet/replica_router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -12,6 +11,13 @@
 namespace llm::serve {
 
 namespace {
+
+// Attempts lost to the fleet are re-dispatched at most this many times
+// before the request finalizes as failed (or preempted).
+constexpr int kMaxFailovers = 3;
+
+// Pump thread sweep cadence.
+constexpr std::chrono::milliseconds kPumpInterval{1};
 
 bool FinishedOk(const RequestResult& result) {
   return result.status.ok() &&
@@ -218,10 +224,10 @@ util::StatusOr<RequestId> ReplicaRouter::Submit(GenerateRequest request) {
   std::lock_guard<std::mutex> lock(mu_);
   util::Status dispatched = DispatchLocked(freq, /*is_hedge=*/false, now);
   if (!dispatched.ok()) {
-    ++rejected_;
+    ++counts_.rejected;
     return dispatched;
   }
-  ++submitted_;
+  ++counts_.submitted;
   active_[freq->id] = freq;
   return freq->id;
 }
@@ -275,16 +281,6 @@ RequestResult ReplicaRouter::GenerateBlocking(GenerateRequest request) {
   return result_or.value();
 }
 
-std::chrono::milliseconds ReplicaRouter::HedgeThresholdLocked() const {
-  auto threshold = options_.hedge_delay;
-  if (options_.hedge_p99_factor > 0.0 && cached_p99_ms_ > 0.0) {
-    const auto from_p99 = std::chrono::milliseconds(static_cast<int64_t>(
-        std::ceil(options_.hedge_p99_factor * cached_p99_ms_)));
-    threshold = std::max(threshold, from_p99);
-  }
-  return threshold;
-}
-
 void ReplicaRouter::FinalizeLocked(const std::shared_ptr<FleetRequest>& freq,
                                    RequestResult result,
                                    const Attempt* winner) {
@@ -313,22 +309,9 @@ void ReplicaRouter::FinalizeLocked(const std::shared_ptr<FleetRequest>& freq,
                         std::chrono::steady_clock::now() - freq->submit_time)
                         .count();
 
-  if (FinishedOk(result)) {
-    ++completed_;
+  if (counts_.Finish(result.reason)) {
     if (winner != nullptr && winner->is_hedge) ++hedges_won_;
     latency_hist_.Record(result.total_ms);
-    if (++completions_since_p99_ >= 16) {
-      completions_since_p99_ = 0;
-      cached_p99_ms_ = latency_hist_.Percentile(0.99);
-    }
-  } else if (result.reason == FinishReason::kCancelled) {
-    ++cancelled_;
-  } else if (result.reason == FinishReason::kDeadline) {
-    ++expired_;
-  } else if (result.reason == FinishReason::kPreempted) {
-    ++preempted_;
-  } else {
-    ++failed_;
   }
 
   if (freq->trace) {
@@ -459,7 +442,7 @@ void ReplicaRouter::PumpRequestLocked(
       FinalizeLocked(freq, std::move(result), nullptr);
       return;
     }
-    if (freq->failovers >= options_.max_failovers) {
+    if (freq->failovers >= kMaxFailovers) {
       if (freq->was_preempted) {
         // Every attempt ended in a policy preemption, not a fault: hand
         // back the furthest partial output as kPreempted so the client
@@ -498,7 +481,7 @@ void ReplicaRouter::PumpRequestLocked(
     // Nobody would take it right now (breakers cooling, queues full, the
     // only sibling mid-reload). That's transient at 1ms sweep granularity
     // — keep the request parked and retry next sweep; deadlines and
-    // max_failovers bound the wait. Only a fleet with no living replica
+    // kMaxFailovers bound the wait. Only a fleet with no living replica
     // at all makes the request hopeless.
     bool any_alive = false;
     for (const auto& replica : replicas_) any_alive |= !replica->dead();
@@ -515,7 +498,7 @@ void ReplicaRouter::PumpRequestLocked(
   // outlived the threshold.
   if (options_.hedge_delay.count() > 0 && !freq->hedged &&
       freq->attempts.size() == 1 && !cancel_wanted &&
-      now - freq->attempts[0].dispatched_at >= HedgeThresholdLocked()) {
+      now - freq->attempts[0].dispatched_at >= options_.hedge_delay) {
     freq->hedged = true;  // one hedge chance, dispatched or not
     if (DispatchLocked(freq, /*is_hedge=*/true, now).ok()) {
       ++hedges_launched_;
@@ -559,7 +542,7 @@ void ReplicaRouter::PumpMain() {
         if (stop_.load(std::memory_order_acquire)) break;
       }
     }
-    std::this_thread::sleep_for(options_.pump_interval);
+    std::this_thread::sleep_for(kPumpInterval);
   }
 }
 
@@ -647,20 +630,14 @@ util::Status ReplicaRouter::ReloadModel(const std::string& checkpoint_path) {
 FleetStats ReplicaRouter::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   FleetStats stats;
-  stats.submitted = submitted_;
-  stats.rejected = rejected_;
-  stats.completed = completed_;
-  stats.cancelled = cancelled_;
-  stats.expired = expired_;
-  stats.failed = failed_;
-  stats.preempted = preempted_;
+  static_cast<RequestCounts&>(stats) = counts_;
   stats.failovers = failovers_;
   stats.hedges_launched = hedges_launched_;
   stats.hedges_won = hedges_won_;
   stats.hedge_mismatches = hedge_mismatches_;
   stats.reloads = reloads_;
   stats.reload_failures = reload_failures_;
-  stats.p99_latency_ms = cached_p99_ms_;
+  stats.p99_latency_ms = latency_hist_.Percentile(0.99);
   return stats;
 }
 
@@ -669,13 +646,7 @@ void ExportFleetStats(const FleetStats& stats, const std::string& prefix,
   const auto set = [&](const char* name, double value) {
     registry->GetGauge(prefix + "." + name)->Set(value);
   };
-  set("submitted", static_cast<double>(stats.submitted));
-  set("rejected", static_cast<double>(stats.rejected));
-  set("completed", static_cast<double>(stats.completed));
-  set("cancelled", static_cast<double>(stats.cancelled));
-  set("expired", static_cast<double>(stats.expired));
-  set("failed", static_cast<double>(stats.failed));
-  set("preempted", static_cast<double>(stats.preempted));
+  ExportRequestCounts(stats, prefix, registry);
   set("failovers", static_cast<double>(stats.failovers));
   set("hedges_launched", static_cast<double>(stats.hedges_launched));
   set("hedges_won", static_cast<double>(stats.hedges_won));

@@ -13,11 +13,10 @@
 //   Failover     An attempt that dies with the replica (kFault, or
 //                cancelled by a replica shutdown the client didn't ask
 //                for) is re-dispatched to a sibling with the request's
-//                remaining deadline, up to max_failovers times.
+//                remaining deadline, up to 3 times.
 //   Hedging      When a request's only attempt has been running longer
-//                than the hedge threshold (max of hedge_delay and
-//                hedge_p99_factor x observed fleet p99), a second attempt
-//                with the SAME seed is dispatched to a different replica.
+//                than hedge_delay, a second attempt with the SAME seed
+//                is dispatched to a different replica.
 //                First completion wins; the loser is cancelled and its
 //                partial output is asserted bit-identical to the winner's
 //                prefix — the serving runtime's determinism contract
@@ -32,7 +31,7 @@
 //                protocol. Live traffic rides the remaining replicas.
 //
 // A dedicated pump thread polls all outstanding attempts every
-// pump_interval and owns hedging, failover, and finalization; client
+// millisecond and owns hedging, failover, and finalization; client
 // threads only Submit, Wait, and Cancel. Fleet-level conservation mirrors
 // the single-server invariant: every accepted request reaches exactly one
 // terminal state, so at quiescence
@@ -76,21 +75,12 @@ struct FleetOptions {
   /// Hedge a request once its only attempt has run this long; zero
   /// disables hedging entirely.
   std::chrono::milliseconds hedge_delay{0};
-  /// When > 0 and a fleet p99 estimate exists, the effective hedge
-  /// threshold is max(hedge_delay, factor * p99) — hedge only genuine
-  /// tail stragglers, not the median.
-  double hedge_p99_factor = 0.0;
   /// Test mode: let the hedge loser run to completion and assert FULL
   /// bit-equality with the winner (default cancels the loser and checks
   /// its partial output as a prefix).
   bool hedge_verify_full = false;
-  /// Re-dispatch attempts lost to replica failure at most this many times
-  /// before the request finalizes as failed.
-  int max_failovers = 3;
   /// Per-replica drain budget during a rolling reload.
   std::chrono::milliseconds reload_drain_timeout{2000};
-  /// Pump thread sweep cadence.
-  std::chrono::milliseconds pump_interval{1};
 };
 
 /// A replica's standing in the rotation, for operators and tests.
@@ -104,15 +94,10 @@ const char* ReplicaPhaseName(ReplicaPhase phase);
 
 /// Fleet-wide counters. Conservation at quiescence:
 /// submitted == completed + cancelled + expired + failed + preempted.
-struct FleetStats {
-  uint64_t submitted = 0;  // accepted into the fleet
-  uint64_t rejected = 0;   // refused at Submit (no replica would take it)
-  uint64_t completed = 0;
-  uint64_t cancelled = 0;
-  uint64_t expired = 0;
-  uint64_t failed = 0;
-  uint64_t preempted = 0;  // finalized kPreempted after the failover
-                           // budget ran out (partial tokens preserved)
+/// `rejected` counts requests no replica would take at Submit;
+/// `preempted` those finalized kPreempted after the failover budget ran
+/// out (partial tokens preserved).
+struct FleetStats : RequestCounts {
   uint64_t failovers = 0;         // attempts re-dispatched after loss
   uint64_t hedges_launched = 0;
   uint64_t hedges_won = 0;        // requests whose hedge beat the primary
@@ -168,11 +153,6 @@ class ReplicaRouter {
   util::Status ReloadModel(const std::string& checkpoint_path);
 
   FleetStats Stats() const;
-
-  /// Completion-latency histogram snapshot behind the fleet p99.
-  obs::HistogramSnapshot LatencySnapshot() const {
-    return latency_hist_.Snapshot();
-  }
 
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   ReplicaPhase replica_phase(int i) const;
@@ -258,7 +238,6 @@ class ReplicaRouter {
                       RequestResult result, const Attempt* winner);
   void VerifyLoserLocked(const std::shared_ptr<FleetRequest>& freq,
                          const Attempt& attempt, const RequestResult& loser);
-  std::chrono::milliseconds HedgeThresholdLocked() const;
   bool ReplicaEligibleLocked(int i) const;
 
   const FleetOptions options_;
@@ -282,13 +261,7 @@ class ReplicaRouter {
   bool reload_in_progress_ = false;  // guarded by mu_
 
   // Counters: guarded by mu_.
-  uint64_t submitted_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t cancelled_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t preempted_ = 0;
+  RequestCounts counts_;
   uint64_t failovers_ = 0;
   uint64_t hedges_launched_ = 0;
   uint64_t hedges_won_ = 0;
@@ -296,10 +269,8 @@ class ReplicaRouter {
   uint64_t reloads_ = 0;
   uint64_t reload_failures_ = 0;
   /// Fleet completion latencies (submit -> final completion across all
-  /// attempts); the hedge threshold reads its p99 via cached_p99_ms_.
+  /// attempts), behind FleetStats::p99_latency_ms.
   obs::Histogram latency_hist_;
-  double cached_p99_ms_ = 0.0;  // refreshed every few completions
-  uint64_t completions_since_p99_ = 0;
 };
 
 /// FleetStats counterpart of ExportServerStats: every field becomes the

@@ -136,9 +136,9 @@ void InferenceServer::Shutdown() {
     scheduler_thread_.join();
     if (watchdog_thread_.joinable()) watchdog_thread_.join();
   }
-  // Sweep the queue after the scheduler is gone. This covers the
+  // The one queue sweep, after the scheduler is gone. It covers the
   // never-started server AND the Submit-vs-Shutdown race: a push that
-  // landed after the scheduler's own final drain would otherwise leave its
+  // landed after the scheduler's last pop would otherwise leave its
   // waiter hung forever. Wait()-after-Shutdown must always return.
   std::shared_ptr<RequestState> state;
   while (queue_.TryPop(&state)) {
@@ -162,8 +162,9 @@ util::Status InferenceServer::Drain(std::chrono::milliseconds timeout) {
   {
     std::unique_lock<std::mutex> lock(stats_mu_);
     drained = drain_cv_.wait_for(lock, timeout, [this] {
-      return submitted_ ==
-             completed_ + cancelled_ + expired_ + failed_ + preempted_;
+      RequestCounts total;
+      for (const TenantClassStats& counts : class_counts_) total += counts;
+      return total.submitted == total.terminal();
     });
   }
   Shutdown();
@@ -238,10 +239,6 @@ util::StatusOr<RequestId> InferenceServer::Submit(GenerateRequest request) {
                                 static_cast<int64_t>(state->id)),
         std::memory_order_release);
   }
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    registry_.emplace(state->id, state);
-  }
   const TenantClass tenant = state->request.tenant;
   const int cls = static_cast<int>(tenant);
 
@@ -261,12 +258,7 @@ util::StatusOr<RequestId> InferenceServer::Submit(GenerateRequest request) {
       obs::FlightRecorder::Global().Record(
           obs::FlightEventType::kQuotaExhausted, cls,
           static_cast<int64_t>(state->id), static_cast<int64_t>(charge));
-      {
-        std::lock_guard<std::mutex> lock(registry_mu_);
-        registry_.erase(state->id);
-      }
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++rejected_;
       ++class_counts_[cls].quota_rejected;
       return util::Status::ResourceExhausted(
           std::string("quota exhausted for tenant class ") +
@@ -274,11 +266,16 @@ util::StatusOr<RequestId> InferenceServer::Submit(GenerateRequest request) {
     }
   }
 
+  // Registered before the push: the scheduler may admit the request the
+  // moment it is queued, and the watchdog finds admitted requests here.
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    registry_.emplace(state->id, state);
+  }
   if (state->request.max_new_tokens == 0) {
     // Nothing to generate; complete without touching the queue.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++submitted_;
       ++class_counts_[cls].submitted;
     }
     CompleteNow(state, FinishReason::kLength, util::Status::OK());
@@ -315,12 +312,10 @@ util::StatusOr<RequestId> InferenceServer::Submit(GenerateRequest request) {
       registry_.erase(state->id);
     }
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++rejected_;
     ++class_counts_[cls].rejected;
     return pushed;
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  ++submitted_;
   ++class_counts_[cls].submitted;
   return state->id;
 }
@@ -365,14 +360,34 @@ util::StatusOr<RequestId> InferenceServer::SubmitWithRetry(
   return result;
 }
 
-bool InferenceServer::Cancel(RequestId id) {
-  std::shared_ptr<RequestState> state;
+std::shared_ptr<RequestState> InferenceServer::Lookup(RequestId id) const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  auto it = registry_.find(id);
+  return it == registry_.end() ? nullptr : it->second;
+}
+
+bool InferenceServer::Collect(RequestState& state, bool block,
+                              RequestResult* out) {
   {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    auto it = registry_.find(id);
-    if (it == registry_.end()) return false;
-    state = it->second;
+    std::unique_lock<std::mutex> lock(state.mu);
+    if (block) state.cv.wait(lock, [&] { return state.done; });
+    if (!state.done) return false;
+    out->status = state.status;
+    out->reason = state.reason;
+    out->tokens = state.tokens;
+    out->queue_ms = state.queue_ms;
+    out->total_ms = state.total_ms;
+    out->first_token_ms = state.first_token_ms;
+    out->trace = state.trace;
   }
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  registry_.erase(state.id);
+  return true;
+}
+
+bool InferenceServer::Cancel(RequestId id) {
+  const std::shared_ptr<RequestState> state = Lookup(id);
+  if (!state) return false;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     if (state->done) return false;
@@ -382,56 +397,21 @@ bool InferenceServer::Cancel(RequestId id) {
 }
 
 util::StatusOr<RequestResult> InferenceServer::Wait(RequestId id) {
-  std::shared_ptr<RequestState> state;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    auto it = registry_.find(id);
-    if (it == registry_.end()) {
-      return util::Status::NotFound("unknown request id " +
-                                    std::to_string(id));
-    }
-    state = it->second;
+  const std::shared_ptr<RequestState> state = Lookup(id);
+  if (!state) {
+    return util::Status::NotFound("unknown request id " + std::to_string(id));
   }
   RequestResult result;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->done; });
-    result.status = state->status;
-    result.reason = state->reason;
-    result.tokens = state->tokens;
-    result.queue_ms = state->queue_ms;
-    result.total_ms = state->total_ms;
-    result.first_token_ms = state->first_token_ms;
-    result.trace = state->trace;
-  }
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  registry_.erase(id);
+  Collect(*state, /*block=*/true, &result);
   return result;
 }
 
 InferenceServer::PollOutcome InferenceServer::Poll(RequestId id,
                                                   RequestResult* out) {
-  std::shared_ptr<RequestState> state;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    auto it = registry_.find(id);
-    if (it == registry_.end()) return PollOutcome::kUnknown;
-    state = it->second;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (!state->done) return PollOutcome::kPending;
-    out->status = state->status;
-    out->reason = state->reason;
-    out->tokens = state->tokens;
-    out->queue_ms = state->queue_ms;
-    out->total_ms = state->total_ms;
-    out->first_token_ms = state->first_token_ms;
-    out->trace = state->trace;
-  }
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  registry_.erase(id);
-  return PollOutcome::kReady;
+  const std::shared_ptr<RequestState> state = Lookup(id);
+  if (!state) return PollOutcome::kUnknown;
+  return Collect(*state, /*block=*/false, out) ? PollOutcome::kReady
+                                               : PollOutcome::kPending;
 }
 
 int64_t InferenceServer::ApproxLoad() const {
@@ -464,21 +444,17 @@ ServerStats InferenceServer::Stats() const {
   stats.health = Health();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    stats.submitted = submitted_;
-    stats.rejected = rejected_;
-    stats.completed = completed_;
-    stats.cancelled = cancelled_;
-    stats.expired = expired_;
-    stats.failed = failed_;
-    stats.preempted = preempted_;
     for (int cls = 0; cls < kNumTenantClasses; ++cls) {
-      stats.classes[cls] = class_counts_[cls];
+      const TenantClassStats& counts = class_counts_[cls];
+      stats.classes[cls] = counts;
+      stats += counts;
+      stats.rejected += counts.quota_rejected;
+      stats.total_tokens += counts.tokens;
     }
-    stats.total_tokens = total_tokens_;
     if (started_at_.time_since_epoch().count() != 0) {
       const double secs = MsSince(started_at_) / 1000.0;
       if (secs > 0.0) {
-        stats.tokens_per_sec = static_cast<double>(total_tokens_) / secs;
+        stats.tokens_per_sec = static_cast<double>(stats.total_tokens) / secs;
       }
     }
   }
@@ -497,27 +473,36 @@ ServerStats InferenceServer::Stats() const {
   return stats;
 }
 
+void ExportRequestCounts(const RequestCounts& counts,
+                         const std::string& prefix,
+                         obs::MetricsRegistry* registry) {
+  const auto set = [&](const char* name, uint64_t value) {
+    registry->GetGauge(prefix + "." + name)->Set(static_cast<double>(value));
+  };
+  set("submitted", counts.submitted);
+  set("rejected", counts.rejected);
+  set("completed", counts.completed);
+  set("cancelled", counts.cancelled);
+  set("expired", counts.expired);
+  set("failed", counts.failed);
+  set("preempted", counts.preempted);
+}
+
 void ExportServerStats(const ServerStats& stats, const std::string& prefix,
                        obs::MetricsRegistry* registry) {
   const auto set = [&](const char* name, double value) {
     registry->GetGauge(prefix + "." + name)->Set(value);
   };
+  ExportRequestCounts(stats, prefix, registry);
   set("queue_depth", static_cast<double>(stats.queue_depth));
   set("active_slots", static_cast<double>(stats.active_slots));
   set("total_slots", static_cast<double>(stats.total_slots));
   set("free_slots", static_cast<double>(stats.free_slots));
-  set("submitted", static_cast<double>(stats.submitted));
-  set("rejected", static_cast<double>(stats.rejected));
-  set("completed", static_cast<double>(stats.completed));
-  set("cancelled", static_cast<double>(stats.cancelled));
-  set("expired", static_cast<double>(stats.expired));
-  set("failed", static_cast<double>(stats.failed));
   set("stalled_ticks", static_cast<double>(stats.stalled_ticks));
   set("leaks_repaired", static_cast<double>(stats.leaks_repaired));
   set("total_tokens", static_cast<double>(stats.total_tokens));
   set("tokens_per_sec", stats.tokens_per_sec);
   set("est_ms_per_step", stats.est_ms_per_step);
-  set("preempted", static_cast<double>(stats.preempted));
   set("p50_latency_ms", stats.p50_latency_ms);
   set("p95_latency_ms", stats.p95_latency_ms);
   set("p99_latency_ms", stats.p99_latency_ms);
@@ -525,19 +510,13 @@ void ExportServerStats(const ServerStats& stats, const std::string& prefix,
   for (int cls = 0; cls < kNumTenantClasses; ++cls) {
     const TenantClassStats& tc = stats.classes[cls];
     const std::string cls_prefix =
-        prefix + "." + TenantClassName(static_cast<TenantClass>(cls)) + ".";
+        prefix + "." + TenantClassName(static_cast<TenantClass>(cls));
     const auto set_cls = [&](const char* name, double value) {
-      registry->GetGauge(cls_prefix + name)->Set(value);
+      registry->GetGauge(cls_prefix + "." + name)->Set(value);
     };
-    set_cls("submitted", static_cast<double>(tc.submitted));
-    set_cls("rejected", static_cast<double>(tc.rejected));
+    ExportRequestCounts(tc, cls_prefix, registry);
     set_cls("quota_rejected", static_cast<double>(tc.quota_rejected));
     set_cls("shed", static_cast<double>(tc.shed));
-    set_cls("preempted", static_cast<double>(tc.preempted));
-    set_cls("completed", static_cast<double>(tc.completed));
-    set_cls("cancelled", static_cast<double>(tc.cancelled));
-    set_cls("expired", static_cast<double>(tc.expired));
-    set_cls("failed", static_cast<double>(tc.failed));
     set_cls("tokens", static_cast<double>(tc.tokens));
     set_cls("p50_ttft_ms", tc.p50_ttft_ms);
     set_cls("p99_ttft_ms", tc.p99_ttft_ms);
@@ -559,34 +538,7 @@ void InferenceServer::RecordFinish(const RequestState& state,
                            static_cast<double>(n_tokens - 1));
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  TenantClassStats& counts = class_counts_[cls];
-  switch (reason) {
-    case FinishReason::kStop:
-    case FinishReason::kLength:
-    case FinishReason::kWindow:
-      ++completed_;
-      ++counts.completed;
-      latency_hist_.Record(total_ms);
-      break;
-    case FinishReason::kCancelled:
-      ++cancelled_;
-      ++counts.cancelled;
-      break;
-    case FinishReason::kDeadline:
-      ++expired_;
-      ++counts.expired;
-      break;
-    case FinishReason::kFault:
-      ++failed_;
-      ++counts.failed;
-      break;
-    case FinishReason::kPreempted:
-      ++preempted_;
-      ++counts.preempted;
-      break;
-    case FinishReason::kNone:
-      break;
-  }
+  if (class_counts_[cls].Finish(reason)) latency_hist_.Record(total_ms);
   // A Drain may be waiting for the last terminal event.
   drain_cv_.notify_all();
 }
@@ -658,14 +610,6 @@ bool InferenceServer::PrepareAdmission(
   return true;
 }
 
-void InferenceServer::AdmitState(std::shared_ptr<RequestState> state) {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.emplace(state->id, state);
-  }
-  scheduler_.Admit(std::move(state));
-}
-
 int64_t InferenceServer::AdmitFromQueue() {
   int64_t admitted = 0;
   std::shared_ptr<RequestState> state;
@@ -677,7 +621,7 @@ int64_t InferenceServer::AdmitFromQueue() {
       scheduler_.ActiveSnapshot(active);
       if (!queue_.TryPopFair(active, options_.tenants, &state)) break;
       if (!PrepareAdmission(state)) continue;
-      AdmitState(std::move(state));
+      scheduler_.Admit(std::move(state));
       ++admitted;
       continue;
     }
@@ -701,7 +645,7 @@ int64_t InferenceServer::AdmitFromQueue() {
     // The victim's retirement may have leaked its slot; repair it before
     // the incoming request claims a slot.
     RepairLeakedSlots();
-    AdmitState(std::move(state));
+    scheduler_.Admit(std::move(state));
     ++admitted;
   }
   return admitted;
@@ -748,31 +692,15 @@ void InferenceServer::Publish(const TickOutput& out) {
   }
   if (delivered > 0) {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    total_tokens_ += delivered;
     for (int cls = 0; cls < kNumTenantClasses; ++cls) {
       class_counts_[cls].tokens += delivered_per_class[cls];
     }
   }
   for (const TickOutput::Finished& finished : out.finished) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_.erase(finished.state->id);
-    }
     if (finished.reason == FinishReason::kFault) {
       degraded_.store(true, std::memory_order_release);
     }
-    const double total_ms = MsSince(finished.state->submit_time);
-    {
-      std::lock_guard<std::mutex> lock(finished.state->mu);
-      if (finished.state->done) continue;
-      RecordFinish(*finished.state, finished.reason, total_ms);
-      finished.state->done = true;
-      finished.state->reason = finished.reason;
-      finished.state->status = finished.status;
-      finished.state->total_ms = total_ms;
-    }
-    CloseTraceSpans(finished.state.get(), finished.reason);
-    finished.state->cv.notify_all();
+    CompleteNow(finished.state, finished.reason, finished.status);
   }
 }
 
@@ -793,7 +721,7 @@ void InferenceServer::SchedulerMain() {
       std::shared_ptr<RequestState> state;
       if (!queue_.WaitPop(&state)) break;
       if (!PrepareAdmission(state)) continue;
-      AdmitState(std::move(state));
+      scheduler_.Admit(std::move(state));
     }
     // Continuous batching: top the batch up from the queue, then advance
     // every active sequence one token.
@@ -824,8 +752,8 @@ void InferenceServer::SchedulerMain() {
     Publish(tick_out_);
     RepairLeakedSlots();
   }
-  // Shutdown: retire in-flight sequences (partial output preserved) and
-  // fail whatever is still queued.
+  // Shutdown: retire in-flight sequences (partial output preserved).
+  // Whatever is still queued is cancelled by Shutdown's sweep.
   tick_out_.Clear();  // last tick's events were already published
   scheduler_.DrainActive(FinishReason::kCancelled,
                          util::Status::Cancelled("server shutdown"),
@@ -833,11 +761,6 @@ void InferenceServer::SchedulerMain() {
   Publish(tick_out_);
   tick_out_.Clear();
   scheduler_.ReclaimLeakedSlots();
-  std::shared_ptr<RequestState> state;
-  while (queue_.TryPop(&state)) {
-    CompleteNow(state, FinishReason::kCancelled,
-                util::Status::Cancelled("server shutdown"));
-  }
 }
 
 void InferenceServer::WatchdogMain() {
@@ -859,18 +782,21 @@ void InferenceServer::WatchdogMain() {
                             tick_start_ns_.load(std::memory_order_acquire)) /
         1e6;
     if (elapsed_ms < static_cast<double>(budget.count())) continue;
-    // Stalled tick: fail fast. Every in-flight request completes with a
-    // diagnostic Internal status so no Wait() hangs behind the wedged
-    // worker; their slots retire at whatever tick the scheduler manages
-    // next (the cancel flag tells it to stop decoding them).
+    // Stalled tick: fail fast. Every admitted request that is not done
+    // completes with a diagnostic Internal status so no Wait() hangs
+    // behind the wedged worker; their slots retire at whatever tick the
+    // scheduler manages next (the cancel flag tells it to stop decoding
+    // them). Queued requests are spared: the stall is not theirs.
     handled_seq = seq;
     degraded_.store(true, std::memory_order_release);
     stalled_ticks_.fetch_add(1, std::memory_order_relaxed);
     std::vector<std::shared_ptr<RequestState>> victims;
     {
-      std::lock_guard<std::mutex> inflight_lock(inflight_mu_);
-      victims.reserve(inflight_.size());
-      for (const auto& [id, st] : inflight_) victims.push_back(st);
+      std::lock_guard<std::mutex> registry_lock(registry_mu_);
+      for (const auto& [id, st] : registry_) {
+        std::lock_guard<std::mutex> state_lock(st->mu);
+        if (st->admitted && !st->done) victims.push_back(st);
+      }
     }
     obs::FlightRecorder::Global().Record(
         obs::FlightEventType::kStallDetected,

@@ -118,19 +118,13 @@ struct RetryOptions {
 ///
 /// Per-tenant-class slice of the counters, plus the latency percentiles
 /// interactive SLOs are written against: TTFT (submit -> first token) and
-/// TPOT (mean inter-token gap after the first).
-struct TenantClassStats {
-  uint64_t submitted = 0;
-  uint64_t rejected = 0;        // queue-full Submit rejections (no victim)
+/// TPOT (mean inter-token gap after the first). A class's `rejected`
+/// counts its queue-full Submit rejections (no victim to shed); its
+/// `preempted` counts shed requests plus mid-decode lane preemptions
+/// (lane share = preempted - shed).
+struct TenantClassStats : RequestCounts {
   uint64_t quota_rejected = 0;  // token-bucket rejections at Submit
   uint64_t shed = 0;            // evicted from the queue by a higher class
-  uint64_t preempted = 0;       // terminal kPreempted (shed + mid-decode
-                                // lane preemptions; lane share = preempted
-                                // - shed)
-  uint64_t completed = 0;
-  uint64_t cancelled = 0;
-  uint64_t expired = 0;
-  uint64_t failed = 0;
   uint64_t tokens = 0;          // streamed tokens delivered
   double p50_ttft_ms = 0.0;
   double p99_ttft_ms = 0.0;
@@ -138,20 +132,13 @@ struct TenantClassStats {
   double p99_tpot_ms = 0.0;
 };
 
-struct ServerStats {
+/// The request counters and `total_tokens` are sums over `classes`;
+/// `rejected` sums both kinds of Submit rejection (queue-full and quota).
+struct ServerStats : RequestCounts {
   size_t queue_depth = 0;
   int64_t active_slots = 0;
   int64_t total_slots = 0;
   int64_t free_slots = 0;
-  uint64_t submitted = 0;
-  uint64_t rejected = 0;   // queue-full Submit attempts (shed load)
-  uint64_t completed = 0;  // finished OK (stop/length/window)
-  uint64_t cancelled = 0;
-  uint64_t expired = 0;    // deadline exceeded (in queue, in flight, or
-                           // infeasible at admission)
-  uint64_t failed = 0;     // isolated faults (kFault / Internal)
-  uint64_t preempted = 0;  // kPreempted: shed from the queue or displaced
-                           // mid-decode for a higher-priority tenant
   uint64_t stalled_ticks = 0;    // watchdog detections
   uint64_t leaks_repaired = 0;   // KV slots swept back into the pool
   uint64_t total_tokens = 0;  // generated tokens since Start
@@ -250,12 +237,6 @@ class InferenceServer {
 
   const ServerOptions& options() const { return options_; }
 
-  /// Direct view of the completion-latency histogram behind the Stats()
-  /// percentiles, for exporters that want counts and means too.
-  obs::HistogramSnapshot LatencySnapshot() const {
-    return latency_hist_.Snapshot();
-  }
-
  private:
   void SchedulerMain();
   void WatchdogMain();
@@ -267,18 +248,23 @@ class InferenceServer {
   /// Admission gate for one popped request: true to admit, false if it was
   /// completed in place (cancelled / expired / infeasible deadline).
   bool PrepareAdmission(const std::shared_ptr<RequestState>& state);
-  /// Registers the request as in-flight (for the watchdog) and admits it.
-  void AdmitState(std::shared_ptr<RequestState> state);
   void Publish(const TickOutput& out);
   /// Sweeps slots leaked by a retirement (the kSlotLeak fault) back into
   /// the pool, counting each repair and marking the server degraded. Runs
   /// after each tick's and each preemption's Publish, so a leak is gone
   /// before the next admission.
   void RepairLeakedSlots();
+  /// The one terminal path: counts the outcome, then marks the request
+  /// done and wakes its waiters. A no-op on a request already done.
   void CompleteNow(const std::shared_ptr<RequestState>& state,
                    FinishReason reason, util::Status status);
   void RecordFinish(const RequestState& state, FinishReason reason,
                     double total_ms);
+  /// The registered request with this id, or null if unknown/collected.
+  std::shared_ptr<RequestState> Lookup(RequestId id) const;
+  /// Copies a done request's result into `*out` and forgets its id,
+  /// blocking until it is done if `block`; false if it is still running.
+  bool Collect(RequestState& state, bool block, RequestResult* out);
 
   const nn::GPTModel* model_;
   const ServerOptions options_;
@@ -308,11 +294,6 @@ class InferenceServer {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
 
-  /// Requests currently holding a KV slot, for the watchdog's fail-fast
-  /// path. Added at admission, removed when their retirement publishes.
-  mutable std::mutex inflight_mu_;
-  std::unordered_map<RequestId, std::shared_ptr<RequestState>> inflight_;
-
   // Decode-rate estimate, scheduler thread only; mirrored into an atomic
   // for Stats(). `est_floor_ms_` is the optimistic floor (the fastest
   // observed tick, seeded from options.est_ms_per_step_seed) used for
@@ -329,24 +310,20 @@ class InferenceServer {
   std::vector<TokenBucket> quota_;
 
   std::atomic<uint64_t> next_id_{1};
+  /// Every accepted request from Submit until its result is collected:
+  /// what Wait, Poll and Cancel look up, and where the watchdog finds the
+  /// admitted requests a stalled tick holds.
   mutable std::mutex registry_mu_;
   std::unordered_map<RequestId, std::shared_ptr<RequestState>> registry_;
 
   mutable std::mutex stats_mu_;
   std::condition_variable drain_cv_;  // with stats_mu_: terminal-count waits
-  uint64_t submitted_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t cancelled_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t failed_ = 0;
-  uint64_t preempted_ = 0;
-  /// Per-class counter slices (percentile fields unused here; Stats()
-  /// fills them from the histograms below).
+  /// The server's only request counters, one ledger per class; Stats()
+  /// and Drain() sum them (percentile fields unused here; Stats() fills
+  /// them from the histograms below).
   TenantClassStats class_counts_[kNumTenantClasses];
   std::atomic<uint64_t> stalled_ticks_{0};
   std::atomic<uint64_t> leaks_repaired_{0};
-  uint64_t total_tokens_ = 0;
   std::chrono::steady_clock::time_point started_at_;
   /// Completion latencies of finished-OK requests; Stats() reads its
   /// percentiles. Atomic buckets — recorded outside any lock.
@@ -359,6 +336,13 @@ class InferenceServer {
   /// registry); only written while obs::EnableProfiling(true).
   obs::Histogram* tick_hist_;
 };
+
+/// Writes the seven RequestCounts fields into `registry` as gauges named
+/// `<prefix>.<field>`: the one exporter of the ledger for the server
+/// totals, each tenant class and the fleet.
+void ExportRequestCounts(const RequestCounts& counts,
+                         const std::string& prefix,
+                         obs::MetricsRegistry* registry);
 
 /// Writes every ServerStats field into `registry` as a gauge named
 /// `<prefix>.<field>` (e.g. "serve.completed", "serve.p99_latency_ms").

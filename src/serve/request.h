@@ -96,6 +96,55 @@ enum class FinishReason {
 
 const char* FinishReasonName(FinishReason reason);
 
+/// The outcome ledger of a set of requests: how many were accepted or
+/// refused at Submit, and how many of the accepted reached each terminal
+/// state. Conservation: at quiescence `submitted == terminal()`.
+/// ServerStats, TenantClassStats and FleetStats all derive from it.
+struct RequestCounts {
+  uint64_t submitted = 0;
+  uint64_t rejected = 0;   // refused at Submit, never accepted
+  uint64_t completed = 0;  // finished OK (stop/length/window)
+  uint64_t cancelled = 0;
+  uint64_t expired = 0;    // deadline exceeded (in queue, in flight, or
+                           // infeasible at admission)
+  uint64_t failed = 0;     // isolated faults (kFault / Internal)
+  uint64_t preempted = 0;  // kPreempted: shed from the queue or displaced
+                           // mid-decode for a higher-priority tenant
+
+  /// Counts one terminal state: the only place a finish reason maps to an
+  /// outcome. Returns true for a completion, the outcome latency
+  /// percentiles are measured over.
+  bool Finish(FinishReason reason) {
+    switch (reason) {
+      case FinishReason::kStop:
+      case FinishReason::kLength:
+      case FinishReason::kWindow: ++completed; return true;
+      case FinishReason::kCancelled: ++cancelled; return false;
+      case FinishReason::kDeadline: ++expired; return false;
+      case FinishReason::kPreempted: ++preempted; return false;
+      case FinishReason::kFault:
+      case FinishReason::kNone: break;  // no reason given: a fault too
+    }
+    ++failed;
+    return false;
+  }
+
+  uint64_t terminal() const {
+    return completed + cancelled + expired + failed + preempted;
+  }
+
+  RequestCounts& operator+=(const RequestCounts& other) {
+    submitted += other.submitted;
+    rejected += other.rejected;
+    completed += other.completed;
+    cancelled += other.cancelled;
+    expired += other.expired;
+    failed += other.failed;
+    preempted += other.preempted;
+    return *this;
+  }
+};
+
 /// Final outcome of a request, returned by InferenceServer::Wait.
 struct RequestResult {
   util::Status status;          // OK for kStop/kLength/kWindow
@@ -131,6 +180,9 @@ struct RequestState {
 
   std::mutex mu;
   std::condition_variable cv;
+  /// Set when the request takes a KV slot; the watchdog fails admitted
+  /// requests that are not done, and spares the queued ones.
+  bool admitted = false;
   bool done = false;
   FinishReason reason = FinishReason::kNone;
   util::Status status;

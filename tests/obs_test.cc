@@ -350,8 +350,8 @@ TEST_F(ObsTest, FlightRecorderFormatMentionsEventNames) {
 // Satellite: racing producers plus a mid-stream dumper. Every event a
 // dump returns must be internally consistent (the c field is a function
 // of a and b, so a torn slot — fields from two different writers — would
-// be caught), tickets strictly ascend, and nothing ever deadlocks or
-// waits. TSan (the tsan-obs preset) checks the memory-order story.
+// be caught), tickets strictly ascend, and nothing ever deadlocks. TSan
+// (the tsan-obs preset) checks the memory-order story.
 TEST_F(ObsTest, FlightRecorderConcurrentWritersAndDumper) {
   FlightRecorder rec(64);  // small ring: writers lap each other constantly
   constexpr int kProducers = 4;
@@ -361,7 +361,7 @@ TEST_F(ObsTest, FlightRecorderConcurrentWritersAndDumper) {
   std::atomic<uint64_t> dumps{0};
 
   std::thread dumper([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    do {  // at least one dump, however fast the producers finish
       const auto events = rec.Dump();
       uint64_t prev_ticket = 0;
       bool first = true;
@@ -376,7 +376,7 @@ TEST_F(ObsTest, FlightRecorderConcurrentWritersAndDumper) {
         first = false;
       }
       dumps.fetch_add(1, std::memory_order_relaxed);
-    }
+    } while (!done.load(std::memory_order_acquire));
   });
 
   std::vector<std::thread> producers;

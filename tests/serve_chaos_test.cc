@@ -274,13 +274,21 @@ TEST_P(TenantStormTest, PerClassConservationSurvivesStorm) {
   std::mutex accepted_mu;
   std::vector<RequestId> accepted;
   uint64_t accepted_per_class[kNumTenantClasses] = {};
+  uint64_t exhausted_per_class[kNumTenantClasses] = {};
   auto submit_range = [&](size_t begin, size_t step) {
     for (size_t i = begin; i < requests.size(); i += step) {
       util::StatusOr<RequestId> id = server.Submit(requests[i]);
-      if (!id.ok()) continue;  // quota / queue rejection: never accepted
       std::lock_guard<std::mutex> lock(accepted_mu);
+      const size_t cls = static_cast<size_t>(requests[i].tenant);
+      if (!id.ok()) {
+        // Quota / queue rejection: never accepted.
+        if (id.status().code() == util::StatusCode::kResourceExhausted) {
+          ++exhausted_per_class[cls];
+        }
+        continue;
+      }
       accepted.push_back(id.value());
-      ++accepted_per_class[static_cast<size_t>(requests[i].tenant)];
+      ++accepted_per_class[cls];
     }
   };
   std::thread submitter_a([&] { submit_range(0, 2); });
@@ -305,6 +313,10 @@ TEST_P(TenantStormTest, PerClassConservationSurvivesStorm) {
   EXPECT_EQ(stats.submitted, stats.completed + stats.cancelled +
                                  stats.expired + stats.failed +
                                  stats.preempted);
+  // Every server total is the sum of its class fields; `rejected` sums
+  // both kinds of Submit rejection.
+  RequestCounts sum;
+  uint64_t sum_tokens = 0;
   for (size_t c = 0; c < kNumTenantClasses; ++c) {
     const TenantClassStats& cs = stats.classes[c];
     SCOPED_TRACE(std::string("class ") +
@@ -312,7 +324,24 @@ TEST_P(TenantStormTest, PerClassConservationSurvivesStorm) {
     EXPECT_EQ(cs.submitted, accepted_per_class[c]);
     EXPECT_EQ(cs.submitted, cs.completed + cs.cancelled + cs.expired +
                                 cs.failed + cs.preempted);
+    EXPECT_EQ(cs.rejected + cs.quota_rejected, exhausted_per_class[c]);
+    sum.submitted += cs.submitted;
+    sum.rejected += cs.rejected + cs.quota_rejected;
+    sum.completed += cs.completed;
+    sum.cancelled += cs.cancelled;
+    sum.expired += cs.expired;
+    sum.failed += cs.failed;
+    sum.preempted += cs.preempted;
+    sum_tokens += cs.tokens;
   }
+  EXPECT_EQ(stats.submitted, sum.submitted);
+  EXPECT_EQ(stats.rejected, sum.rejected);
+  EXPECT_EQ(stats.completed, sum.completed);
+  EXPECT_EQ(stats.cancelled, sum.cancelled);
+  EXPECT_EQ(stats.expired, sum.expired);
+  EXPECT_EQ(stats.failed, sum.failed);
+  EXPECT_EQ(stats.preempted, sum.preempted);
+  EXPECT_EQ(stats.total_tokens, sum_tokens);
   // Chat is neither sheddable nor preemptible under the default policy.
   const TenantClassStats& chat =
       stats.classes[static_cast<size_t>(TenantClass::kChat)];

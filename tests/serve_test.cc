@@ -654,6 +654,43 @@ TEST_F(ServeResilienceTest, WatchdogConvertsStallIntoFailedRequest) {
   EXPECT_EQ(stats.free_slots, stats.total_slots);
 }
 
+TEST_F(ServeResilienceTest, WatchdogSparesQueuedRequests) {
+  // One slot: the long request holds it when its sixth tick stalls, and
+  // the second request waits in the queue. The watchdog fails only the
+  // admitted request; the queued one is not the stall's, so it is admitted
+  // once the slot frees and completes bit-exact.
+  util::Rng rng(58);
+  nn::GPTConfig cfg = SmallConfig();
+  cfg.max_seq_len = 4096;  // the stalled request would otherwise run long
+  nn::GPTModel model(cfg, &rng);
+  ServerOptions options;
+  options.max_batch_size = 1;
+  options.num_workers = 0;
+  options.tick_budget = std::chrono::milliseconds(15);
+  InferenceServer server(&model, options);
+  auto stalled = server.Submit(MakeRequest({1, 2}, 8, 10000));
+  const GenerateRequest queued_request = MakeRequest({4, 5}, 9, 6);
+  auto queued = server.Submit(queued_request);
+  ASSERT_TRUE(stalled.ok());
+  ASSERT_TRUE(queued.ok());
+  util::FaultInjector::Global().ArmAt(util::FaultSite::kWorkerStall, {5});
+  server.Start();
+
+  auto stalled_result = server.Wait(stalled.value());
+  ASSERT_TRUE(stalled_result.ok());
+  EXPECT_EQ(stalled_result.value().reason, FinishReason::kFault);
+  auto queued_result = server.Wait(queued.value());
+  ASSERT_TRUE(queued_result.ok());
+  EXPECT_TRUE(queued_result.value().status.ok())
+      << queued_result.value().status.ToString();
+  EXPECT_EQ(queued_result.value().tokens,
+            SingleStreamReference(model, queued_request));
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.free_slots, stats.total_slots);
+}
+
 TEST_F(ServeResilienceTest, DrainCompletesInFlightAndRejectsNewSubmits) {
   util::Rng rng(54);
   nn::GPTConfig cfg = SmallConfig();
