@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "sample/sampler.h"
 #include "serve/inference_server.h"
+#include "serve/serving_model.h"
 #include "util/fault.h"
 
 namespace {
@@ -40,20 +41,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// GPT-2-small-proportioned toy: BPE-scale vocabulary, narrow trunk. The
-// wide tied unembedding dominates per-token cost exactly as in real
-// models, which is what makes the serving comparison honest.
-llm::nn::GPTConfig ServingConfig() {
-  llm::nn::GPTConfig cfg;
-  cfg.vocab_size = 32768;
-  cfg.max_seq_len = 48;
-  cfg.d_model = 256;
-  cfg.n_layer = 2;
-  cfg.n_head = 8;
-  cfg.tie_embeddings = true;
-  return cfg;
 }
 
 std::vector<llm::serve::GenerateRequest> MakeWorkload() {
@@ -109,7 +96,7 @@ double RunTelemetryRep(const llm::nn::GPTModel& model,
 
 int main() {
   llm::util::Rng rng(3);
-  const llm::nn::GPTConfig cfg = ServingConfig();
+  const llm::nn::GPTConfig cfg = llm::serve::ServingConfig();
   llm::nn::GPTModel model(cfg, &rng);
   std::printf(
       "serving bench: %lld params, vocab %lld, d_model %lld, window %lld\n\n",

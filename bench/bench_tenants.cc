@@ -32,6 +32,7 @@
 
 #include "obs/metrics.h"
 #include "serve/inference_server.h"
+#include "serve/serving_model.h"
 #include "serve/workload.h"
 
 namespace {
@@ -40,19 +41,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// Same GPT-2-small-proportioned toy as bench_serving: the wide tied
-// unembedding dominates per-token cost, keeping per-step timing honest.
-llm::nn::GPTConfig ServingConfig() {
-  llm::nn::GPTConfig cfg;
-  cfg.vocab_size = 32768;
-  cfg.max_seq_len = 48;
-  cfg.d_model = 256;
-  cfg.n_layer = 2;
-  cfg.n_head = 8;
-  cfg.tie_embeddings = true;
-  return cfg;
 }
 
 llm::serve::ServerOptions StormOptions() {
@@ -73,7 +61,7 @@ struct ClassGate {
 int main() {
   using llm::serve::TenantClass;
   llm::util::Rng rng(3);
-  const llm::nn::GPTConfig cfg = ServingConfig();
+  const llm::nn::GPTConfig cfg = llm::serve::ServingConfig();
   llm::nn::GPTModel model(cfg, &rng);
   std::printf("tenant bench: %lld params, vocab %lld, d_model %lld\n\n",
               static_cast<long long>(model.NumParameters()),

@@ -1,16 +1,26 @@
-// The Box–Muller kernel behind Rng::FillNormal (see normal_kernel.h).
+// The per-pair work behind Rng::FillNormal (see normal_kernel.h): the lane
+// draws, the Box–Muller kernel, the rounding check and the stores.
 //
-// Everything is plain arithmetic GCC can vectorize: no libm call, no
-// int64 <-> double conversion, and no branch but two selects. This is the
+// Each stage's loop is plain arithmetic GCC can vectorize: no libm call,
+// no int64 <-> double conversion, and no branch but selects. This is the
 // only file built with -fno-math-errno (so std::sqrt becomes one
 // instruction) and -fno-trapping-math (so the selects become blends); the
-// kernel is built three times from one body, for the baseline target, for
-// AVX2 with FMA and for AVX-512 with FMA, and Best() picks once by CPUID.
+// bodies are built three times, for the baseline target, for AVX2 with
+// FMA and for AVX-512 with FMA, and InUse() picks once by CPUID.
+//
+// The lanes step through XoshiroNext on 32- and 64-byte vectors, which GCC
+// notes would be returned differently with and without AVX and AVX-512.
+// Every call is inlined into one copy, so no call crosses that ABI.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "util/normal_kernel.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace llm::util::normal_kernel {
 namespace {
@@ -129,23 +139,158 @@ constexpr double kRoundMagic = 0x1.8p52;
   }
 }
 
-void Baseline(const uint64_t* a, const uint64_t* b, size_t pairs, double* z0,
-              double* z1) {
-  Body(a, b, pairs, z0, z1);
+// Vectors of 64-bit words, one lane each: a copy steps its lanes in the
+// widest its target has (two, four or eight words).
+typedef uint64_t Words2 __attribute__((vector_size(16)));
+typedef uint64_t Words4 __attribute__((vector_size(32)));
+typedef uint64_t Words8 __attribute__((vector_size(64)));
+
+// The Draws stage, kLanes lanes as kLanes / width vectors of type V. The
+// state stays in registers across the rows; each row stores all kLanes
+// draws, and the next row's store overwrites those past `lanes`.
+template <typename V>
+[[gnu::always_inline]] inline void DrawBody(LaneStates* states, size_t lanes,
+                                            size_t pairs, uint64_t* a,
+                                            uint64_t* b) {
+  constexpr size_t kWidth = sizeof(V) / sizeof(uint64_t);
+  constexpr size_t kVectors = kLanes / kWidth;
+  static_assert(kVectors * kWidth == kLanes);
+  V s[kVectors][4];
+  for (size_t v = 0; v < kVectors; ++v) {
+    for (int w = 0; w < 4; ++w) {
+      std::memcpy(&s[v][w], &states->s[w][v * kWidth], sizeof(V));
+    }
+  }
+  for (size_t i = 0; i < pairs; ++i) {
+    for (size_t v = 0; v < kVectors; ++v) {
+      const V x = XoshiroNext(s[v]);
+      const V y = XoshiroNext(s[v]);
+      std::memcpy(a + i * lanes + v * kWidth, &x, sizeof(V));
+      std::memcpy(b + i * lanes + v * kWidth, &y, sizeof(V));
+    }
+  }
+  for (size_t v = 0; v < kVectors; ++v) {
+    for (int w = 0; w < 4; ++w) {
+      std::memcpy(&states->s[w][v * kWidth], &s[v][w], sizeof(V));
+    }
+  }
 }
+
+// mean + stddev * z lies within the kernel's error budget (2^-46 relative
+// to libm, plus a few roundings) of the double Normal(mean, stddev) gives,
+// far inside the 2^-40 slack, whether or not the copy's compiler fuses the
+// multiply and add. Rounding to float is monotone, so when both ends of
+// the slack round to one float, that double does too. A float of +-0 is
+// refused: -0 == +0, so the two ends may hide a sign.
+[[gnu::always_inline]] inline bool KeepBody(double mean, double stddev,
+                                            double z, float* out) {
+  const double t = stddev * z;
+  const double y = mean + t;
+  const double slack = 0x1p-40 * (std::fabs(mean) + std::fabs(t));
+  const float lo = static_cast<float>(y - slack);
+  const float hi = static_cast<float>(y + slack);
+  *out = lo;
+  return (lo == hi) & (lo != 0.0f);  // NaN compares unequal
+}
+
+// The Check stage: branch-free, so it vectorizes; a refused value is
+// written as a NaN, which no kept value is.
+[[gnu::always_inline]] inline bool CheckBody(const double* z0,
+                                             const double* z1, size_t pairs,
+                                             double mean, double stddev,
+                                             float* out) {
+  constexpr float kRefused = std::numeric_limits<float>::quiet_NaN();
+  int all_kept = 1;
+  for (size_t i = 0; i < pairs; ++i) {
+    float f0 = 0.0f, f1 = 0.0f;
+    const int k0 = KeepBody(mean, stddev, z0[i], &f0);
+    const int k1 = KeepBody(mean, stddev, z1[i], &f1);
+    out[2 * i] = k0 ? f0 : kRefused;
+    out[2 * i + 1] = k1 ? f1 : kRefused;
+    all_kept &= k0 & k1;
+  }
+  return all_kept;
+}
+
+// Pairs a lane fills per block: the block's draws, variates and floats
+// take 5 KiB of the claiming thread's stack at kLanes lanes.
+constexpr size_t kRows = 16;
+
+// Pairs [begin, end) of lanes [0, lanes), a block of kRows pairs a lane at
+// a time; lane j's floats start at out + 2 * j * kChunkPairs. A block's
+// pairs run through the stages lane-minor, and each lane's floats are then
+// copied to its own chunk; a pair the check refused is redone by
+// ExactPair, from the draws the block still holds.
+template <typename V>
+[[gnu::always_inline]] inline void RowsBody(LaneStates* states, size_t lanes,
+                                            size_t begin, size_t end,
+                                            float* out, double mean,
+                                            double stddev) {
+  uint64_t a[kRows * kLanes], b[kRows * kLanes];
+  double z0[kRows * kLanes], z1[kRows * kLanes];
+  float f[2 * kRows * kLanes];
+  for (size_t p = begin; p < end; p += kRows) {
+    const size_t m = std::min(kRows, end - p);
+    const size_t n = m * lanes;
+    DrawBody<V>(states, lanes, m, a, b);
+    Body(a, b, n, z0, z1);
+    const bool all_kept = CheckBody(z0, z1, n, mean, stddev, f);
+    for (size_t j = 0; j < lanes; ++j) {
+      float* o = out + 2 * (j * kChunkPairs + p);
+      for (size_t i = 0; i < m; ++i) {
+        std::memcpy(o + 2 * i, f + 2 * (i * lanes + j), 2 * sizeof(float));
+      }
+    }
+    if (all_kept) continue;
+    for (size_t q = 0; q < n; ++q) {
+      if (std::isnan(f[2 * q]) || std::isnan(f[2 * q + 1])) {
+        const size_t j = q % lanes, i = q / lanes;
+        ExactPair(a[q], b[q], mean, stddev,
+                  out + 2 * (j * kChunkPairs + p + i));
+      }
+    }
+  }
+}
+
+// The Claim stage: the pairs every lane has, then the rest of the whole
+// lanes, with the last lane's state put back where its pairs end.
+template <typename V>
+[[gnu::always_inline]] inline void ClaimBody(LaneStates* states, size_t lanes,
+                                             size_t last_pairs, float* out,
+                                             double mean, double stddev) {
+  RowsBody<V>(states, lanes, 0, last_pairs, out, mean, stddev);
+  if (lanes == 1) return;
+  uint64_t last[4];
+  for (int w = 0; w < 4; ++w) last[w] = states->s[w][lanes - 1];
+  RowsBody<V>(states, lanes - 1, last_pairs, kChunkPairs, out, mean, stddev);
+  for (int w = 0; w < 4; ++w) states->s[w][lanes - 1] = last[w];
+}
+
+// One copy's four entry points, each an inlined body, under `attrs`, with
+// its lanes in vectors of type V.
+#define TFMR_NORMAL_KERNEL_COPY(name, V, attrs)                              \
+  attrs void name##Draws(LaneStates* states, size_t lanes, size_t pairs,    \
+                         uint64_t* a, uint64_t* b) {                        \
+    DrawBody<V>(states, lanes, pairs, a, b);                                \
+  }                                                                         \
+  attrs void name##Kernel(const uint64_t* a, const uint64_t* b,             \
+                          size_t pairs, double* z0, double* z1) {           \
+    Body(a, b, pairs, z0, z1);                                              \
+  }                                                                         \
+  attrs bool name##Check(const double* z0, const double* z1, size_t pairs,  \
+                         double mean, double stddev, float* out) {          \
+    return CheckBody(z0, z1, pairs, mean, stddev, out);                     \
+  }                                                                         \
+  attrs void name##Claim(LaneStates* states, size_t lanes, size_t last_pairs, \
+                         float* out, double mean, double stddev) {          \
+    ClaimBody<V>(states, lanes, last_pairs, out, mean, stddev);             \
+  }
+
+TFMR_NORMAL_KERNEL_COPY(Baseline, Words2, )
 
 #if defined(__x86_64__) || defined(__i386__)
-[[gnu::target("avx2,fma")]] void Avx2Fma(const uint64_t* a,
-                                         const uint64_t* b, size_t pairs,
-                                         double* z0, double* z1) {
-  Body(a, b, pairs, z0, z1);
-}
-
-[[gnu::target("avx512f,fma")]] void Avx512Fma(const uint64_t* a,
-                                              const uint64_t* b, size_t pairs,
-                                              double* z0, double* z1) {
-  Body(a, b, pairs, z0, z1);
-}
+TFMR_NORMAL_KERNEL_COPY(Avx2Fma, Words4, [[gnu::target("avx2,fma")]])
+TFMR_NORMAL_KERNEL_COPY(Avx512Fma, Words8, [[gnu::target("avx512f,fma")]])
 
 bool HasAvx2Fma() {
   __builtin_cpu_init();
@@ -158,30 +303,42 @@ bool HasAvx512Fma() {
 }
 #endif
 
+#undef TFMR_NORMAL_KERNEL_COPY
+
 }  // namespace
 
 std::span<const Copy> Copies() {
 #if defined(__x86_64__) || defined(__i386__)
   static const std::array<Copy, 3> copies = {
-      Copy{"baseline", &Baseline, true},
-      Copy{"avx2,fma", &Avx2Fma, HasAvx2Fma()},
-      Copy{"avx512f,fma", &Avx512Fma, HasAvx512Fma()}};
+      Copy{"baseline", &BaselineDraws, &BaselineKernel, &BaselineCheck,
+           &BaselineClaim, true},
+      Copy{"avx2,fma", &Avx2FmaDraws, &Avx2FmaKernel, &Avx2FmaCheck,
+           &Avx2FmaClaim, HasAvx2Fma()},
+      Copy{"avx512f,fma", &Avx512FmaDraws, &Avx512FmaKernel, &Avx512FmaCheck,
+           &Avx512FmaClaim, HasAvx512Fma()}};
 #else
   static const std::array<Copy, 1> copies = {
-      Copy{"baseline", &Baseline, true}};
+      Copy{"baseline", &BaselineDraws, &BaselineKernel, &BaselineCheck,
+           &BaselineClaim, true}};
 #endif
   return copies;
 }
 
-Kernel Best() {
-  static const Kernel best = [] {
-    Kernel k = nullptr;
+const Copy& InUse() {
+  static const Copy& in_use = []() -> const Copy& {
+    const Copy* pick = nullptr;
     for (const Copy& copy : Copies()) {
-      if (copy.runnable) k = copy.kernel;
+      if (copy.runnable) pick = &copy;
     }
-    return k;
+    return *pick;
   }();
-  return best;
+  return in_use;
+}
+
+Kernel Best() { return InUse().kernel; }
+
+bool KeepFloat(double mean, double stddev, double z, float* out) {
+  return KeepBody(mean, stddev, z, out);
 }
 
 }  // namespace llm::util::normal_kernel

@@ -21,21 +21,6 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// One xoshiro256** step on the 4-word state s.
-uint64_t Xoshiro(uint64_t* s) {
-  const uint64_t result = Rotl(s[1] * 5, 7) * 9;
-  const uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = Rotl(s[3], 45);
-  return result;
-}
-
 // 53 random mantissa bits -> uniform in [0, 1).
 double ToUnit(uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -52,63 +37,6 @@ void BoxMuller(uint64_t a, uint64_t b, double* z0, double* z1) {
   *z1 = r * std::sin(theta);
 }
 
-// Writes static_cast<float>(Normal(mean, stddev)) for both variates of the
-// pair drawn as a, b to out[0] and out[1]; returns the second variate.
-double ExactPair(uint64_t a, uint64_t b, double mean, double stddev,
-                 float* out) {
-  double z0 = 0.0, z1 = 0.0;
-  BoxMuller(a, b, &z0, &z1);
-  out[0] = static_cast<float>(mean + stddev * z0);
-  out[1] = static_cast<float>(mean + stddev * z1);
-  return z1;
-}
-
-// Pairs per kernel call: 1 KiB of draws and 1 KiB of variates on the
-// filling thread's stack.
-constexpr size_t kBlockPairs = 64;
-
-// Writes `pairs` Box-Muller pairs drawn from s to out[0, 2 * pairs) and
-// advances s past them. Returns the last pair's second variate: what
-// Normal() leaves in its cache after handing that variate out. Every pair
-// but the last goes through the vectorized kernel a block at a time; a
-// pair with a value the rounding check does not keep, and the last pair,
-// whose second variate is returned as a double, go through ExactPair.
-double FillPairs(uint64_t* s, float* out, size_t pairs, double mean,
-                 double stddev) {
-  if (pairs == 0) return 0.0;
-  const normal_kernel::Kernel kernel = normal_kernel::Best();
-  uint64_t a[kBlockPairs] = {}, b[kBlockPairs] = {};
-  double z0[kBlockPairs] = {}, z1[kBlockPairs] = {};
-  const size_t fast = pairs - 1;
-  for (size_t p = 0; p < fast; p += kBlockPairs) {
-    const size_t m = std::min(kBlockPairs, fast - p);
-    for (size_t i = 0; i < m; ++i) {
-      a[i] = Xoshiro(s);
-      b[i] = Xoshiro(s);
-    }
-    kernel(a, b, m, z0, z1);
-    float* o = out + 2 * p;
-    // Branch-free, so it vectorizes; the rare block with a value not kept
-    // is scanned again pair by pair.
-    int all_kept = 1;
-    for (size_t i = 0; i < m; ++i) {
-      all_kept &= normal_kernel::KeepFloat(mean, stddev, z0[i], &o[2 * i]);
-      all_kept &= normal_kernel::KeepFloat(mean, stddev, z1[i], &o[2 * i + 1]);
-    }
-    if (all_kept) continue;
-    for (size_t i = 0; i < m; ++i) {
-      float f[2] = {};
-      if (!normal_kernel::KeepFloat(mean, stddev, z0[i], &f[0]) ||
-          !normal_kernel::KeepFloat(mean, stddev, z1[i], &f[1])) {
-        ExactPair(a[i], b[i], mean, stddev, &o[2 * i]);
-      }
-    }
-  }
-  const uint64_t last_a = Xoshiro(s);
-  const uint64_t last_b = Xoshiro(s);
-  return ExactPair(last_a, last_b, mean, stddev, out + 2 * fast);
-}
-
 size_t AllowedCpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -118,47 +46,66 @@ size_t AllowedCpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-constexpr size_t kChunkPairs = Rng::kFillNormalChunk / 2;
+using normal_kernel::kChunkPairs;
+using normal_kernel::kLanes;
 
-// FillPairs split at fixed offsets: chunk k starts 2 * k * kChunkPairs
-// draws into the stream. The caller publishes each chunk's start state,
-// reaching the next one by one JumpChunk; workers claim chunks as they
-// come and do the log/sincos/sqrt. The caller joins the claiming once it
-// has published them all, so `threads` threads compute, and a stalled one
-// delays only the chunk it holds. The last chunk's filler leaves its state
-// past the last pair, which is where s ends. A thread that fails to spawn
-// just means fewer workers: the caller alone would still fill every chunk.
-double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
-                         double stddev, size_t threads) {
+// Writes `pairs` Box-Muller pairs drawn from s to out[0, 2 * pairs) and
+// advances s past them. Returns the last pair's second variate: what
+// Normal() leaves in its cache after handing that variate out.
+//
+// Chunk k starts 2 * k * kChunkPairs draws into the stream. The caller
+// publishes each chunk's start state, reaching the next one by one
+// JumpChunk, and then joins the claiming. A claim is kLanes consecutive
+// chunks (fewer in the last), which the in-use copy fills side by side, one
+// lane each; claims are taken from an atomic counter by the caller and by
+// one worker per further allowed CPU, up to one a claim, so a stalled
+// thread delays only the claim it holds. The fill's last pair is left out
+// of the last claim: its filler draws it with ExactPair, because its second
+// variate is returned as a double, and leaves its state where s ends. A
+// thread that fails to spawn just means fewer workers: the caller alone
+// would still fill every claim.
+double FillPairs(uint64_t* s, float* out, size_t pairs, double mean,
+                 double stddev) {
   const size_t chunks = (pairs + kChunkPairs - 1) / kChunkPairs;
+  const size_t claims = (chunks + kLanes - 1) / kLanes;
+  const size_t threads = claims > 1 ? AllowedCpus() : 1;
+  const normal_kernel::Claim fill = normal_kernel::InUse().claim;
   std::vector<std::array<uint64_t, 4>> starts(chunks);
   std::atomic<size_t> published{0};  // starts[0, published) are final
-  std::atomic<size_t> next{0};       // next chunk to claim
-  // Written by the last chunk's filler: its final state and second variate.
+  std::atomic<size_t> next{0};       // next claim to take
+  // Written by the last claim's filler: the final state and second variate.
   std::array<uint64_t, 4> end{};
   double last_z1 = 0.0;
   const auto claim = [&] {
     while (true) {
-      const size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= chunks) return;
-      while (published.load(std::memory_order_acquire) <= k) {
+      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= claims) return;
+      const size_t first = c * kLanes;
+      const size_t lanes = std::min(kLanes, chunks - first);
+      while (published.load(std::memory_order_acquire) < first + lanes) {
         std::this_thread::yield();
       }
-      std::array<uint64_t, 4> state = starts[k];
-      const size_t begin = k * kChunkPairs;
-      const double z1 = FillPairs(state.data(), out + 2 * begin,
-                                  std::min(kChunkPairs, pairs - begin), mean,
-                                  stddev);
-      if (k + 1 == chunks) {
-        end = state;
-        last_z1 = z1;
+      normal_kernel::LaneStates states;
+      for (size_t j = 0; j < lanes; ++j) {
+        for (int w = 0; w < 4; ++w) states.s[w][j] = starts[first + j][w];
       }
+      const bool last = first + lanes == chunks;
+      const size_t last_pairs =
+          last ? pairs - 1 - (chunks - 1) * kChunkPairs : kChunkPairs;
+      fill(&states, lanes, last_pairs, out + 2 * first * kChunkPairs, mean,
+           stddev);
+      if (!last) continue;
+      for (int w = 0; w < 4; ++w) end[w] = states.s[w][lanes - 1];
+      const uint64_t a = normal_kernel::XoshiroNext(end.data());
+      const uint64_t b = normal_kernel::XoshiroNext(end.data());
+      last_z1 = normal_kernel::ExactPair(a, b, mean, stddev,
+                                         out + 2 * (pairs - 1));
     }
   };
   // Declared after everything `claim` touches, so that it is destroyed,
   // joining any thread still running, before they are.
   std::vector<std::jthread> workers;
-  const size_t spawn = std::min(threads, chunks) - 1;
+  const size_t spawn = std::min(threads, claims) - 1;
   workers.reserve(spawn);
   for (size_t i = 0; i < spawn; ++i) {
     try {
@@ -182,19 +129,16 @@ double FillPairsParallel(uint64_t* s, float* out, size_t pairs, double mean,
 
 namespace normal_kernel {
 
-// mean + stddev * z lies within the kernel's error budget (2^-46 relative
-// to libm, plus a few roundings) of the double Normal(mean, stddev) gives,
-// far inside the 2^-40 slack. Rounding to float is monotone, so when both
-// ends of the slack round to one float, that double does too. A float of
-// +-0 is refused: -0 == +0, so the two ends may hide a sign.
-bool KeepFloat(double mean, double stddev, double z, float* out) {
-  const double t = stddev * z;
-  const double y = mean + t;
-  const double slack = 0x1p-40 * (std::fabs(mean) + std::fabs(t));
-  const float lo = static_cast<float>(y - slack);
-  const float hi = static_cast<float>(y + slack);
-  *out = lo;
-  return (lo == hi) & (lo != 0.0f);  // NaN compares unequal
+// Here, in default-target code, mean + stddev * z rounds twice, as in
+// Normal(): fused into one FMA it could round a value on a float midpoint
+// the other way.
+double ExactPair(uint64_t a, uint64_t b, double mean, double stddev,
+                 float* out) {
+  double z0 = 0.0, z1 = 0.0;
+  BoxMuller(a, b, &z0, &z1);
+  out[0] = static_cast<float>(mean + stddev * z0);
+  out[1] = static_cast<float>(mean + stddev * z1);
+  return z1;
 }
 
 // x^8192 mod the characteristic polynomial of the xoshiro256 state update,
@@ -219,7 +163,7 @@ void JumpChunk(uint64_t* s) {
     for (int bit = 0; bit < 64; ++bit) {
       const uint64_t mask = 0 - ((word >> bit) & 1);
       for (int i = 0; i < 4; ++i) t[i] ^= s[i] & mask;
-      Xoshiro(s);
+      XoshiroNext(s);
     }
   }
   std::copy(t, t + 4, s);
@@ -233,7 +177,7 @@ void Rng::Seed(uint64_t seed) {
   have_cached_normal_ = false;
 }
 
-uint64_t Rng::NextU64() { return Xoshiro(state_); }
+uint64_t Rng::NextU64() { return normal_kernel::XoshiroNext(state_); }
 
 double Rng::Uniform() { return ToUnit(NextU64()); }
 
@@ -275,12 +219,7 @@ void Rng::FillNormal(float* out, size_t n, double mean, double stddev) {
   // Whole pairs leave the cache empty but holding the last pair's second
   // variate, as the sequential loop does; SaveState() exposes that field.
   const size_t pairs = n / 2;
-  const size_t cpus = pairs >= 2 * kChunkPairs ? AllowedCpus() : 1;
-  if (cpus > 1) {
-    cached_normal_ = FillPairsParallel(state_, out, pairs, mean, stddev, cpus);
-  } else if (pairs > 0) {
-    cached_normal_ = FillPairs(state_, out, pairs, mean, stddev);
-  }
+  if (pairs > 0) cached_normal_ = FillPairs(state_, out, pairs, mean, stddev);
   if (n % 2 != 0) out[n - 1] = static_cast<float>(Normal(mean, stddev));
 }
 

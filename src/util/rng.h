@@ -55,13 +55,14 @@ class Rng {
   /// Writes exactly what `n` successive
   /// `static_cast<float>(Normal(mean, stddev))` calls would write, and
   /// leaves the generator (SaveState() included) exactly where they would.
-  /// Fills of at least two chunks split the Box-Muller work across one
-  /// thread per CPU in the caller's affinity mask; the values never
-  /// depend on the thread count or on timing.
+  /// The stream is split into chunks, drawn eight at a time side by side,
+  /// and a fill of more than eight chunks shares them with up to one
+  /// thread per further CPU in the caller's affinity mask; the values
+  /// never depend on the thread count or on timing.
   void FillNormal(float* out, size_t n, double mean, double stddev);
 
-  /// Values per chunk of a parallel FillNormal. Shorter fills than two
-  /// chunks, and any fill with one allowed CPU, run inline on the caller.
+  /// Values per chunk of a FillNormal: chunk k starts k * kFillNormalChunk
+  /// draws into the stream.
   static constexpr size_t kFillNormalChunk = 8192;
 
   /// Bernoulli draw with success probability p.

@@ -6,6 +6,7 @@
 
 #include "core/tensor.h"
 #include "nn/transformer.h"
+#include "serve/serving_model.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -154,21 +155,13 @@ TEST(TensorTest, RandomNormalMatchesSequentialDraws) {
   }
 }
 
-// The serving model bench_e2e builds (the config is a copy of
-// ServingConfig() in bench/e2e/bench_e2e.cc): its weights, in
-// NamedParameters() order, and the generator after them must keep their
+// The serving model the serving benches and bench_e2e build: its weights,
+// in NamedParameters() order, and the generator after them must keep their
 // bytes across every change to weight init (threads, kernel copies,
-// jumps, page advice).
+// jumps, page advice, lanes).
 TEST(TensorTest, ServingModelWeightsKeepTheirBytes) {
-  nn::GPTConfig cfg;
-  cfg.vocab_size = 32768;
-  cfg.max_seq_len = 48;
-  cfg.d_model = 256;
-  cfg.n_layer = 2;
-  cfg.n_head = 8;
-  cfg.tie_embeddings = true;
   util::Rng rng(3);
-  const nn::GPTModel model(cfg, &rng);
+  const nn::GPTModel model(serve::ServingConfig(), &rng);
   uint32_t crc = 0;
   for (const auto& [name, param] : model.NamedParameters()) {
     const Tensor& w = param.value();

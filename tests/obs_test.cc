@@ -458,7 +458,9 @@ TEST_F(ObsTest, FlightRecorderDumpRacesWrappingWriter) {
     bool first = true;
     for (const FlightEvent& e : events) {
       ASSERT_EQ(e.c, e.b * 3 + 1);  // torn slot detector
-      if (!first) ASSERT_GT(e.ticket, prev);
+      if (!first) {
+        ASSERT_GT(e.ticket, prev);
+      }
       prev = e.ticket;
       first = false;
     }

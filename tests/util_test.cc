@@ -335,6 +335,166 @@ TEST(NormalKernelTest, KeepFloatKeepsOnlyWhatRoundsOneWay) {
   EXPECT_FALSE(kept(std::nan(""), 1.0, 0.5));
 }
 
+// Lane j starts where Rng(seed + j) does; *serial gets those generators.
+normal_kernel::LaneStates LaneStarts(uint64_t seed, size_t lanes,
+                                     std::vector<Rng>* serial) {
+  normal_kernel::LaneStates states;
+  serial->clear();
+  for (size_t j = 0; j < lanes; ++j) {
+    serial->emplace_back(seed + j);
+    const RngState st = serial->back().SaveState();
+    for (int w = 0; w < 4; ++w) states.s[w][j] = st.s[w];
+  }
+  return states;
+}
+
+// Every copy's lane draws, for 1 to kLanes lanes, are the draws of that
+// many serial NextU64() streams, draw for draw, and leave each lane's state
+// where its stream ends; two calls carry the state across.
+TEST(NormalKernelTest, LaneDrawsEqualSerialStreams) {
+  constexpr size_t kPairs = 100, kFirstCall = 37;
+  for (const normal_kernel::Copy& copy : normal_kernel::Copies()) {
+    if (!copy.runnable) continue;
+    SCOPED_TRACE(copy.name);
+    for (size_t lanes = 1; lanes <= normal_kernel::kLanes; ++lanes) {
+      SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+      std::vector<Rng> serial;
+      normal_kernel::LaneStates states = LaneStarts(50 * lanes, lanes, &serial);
+      std::vector<uint64_t> a(kPairs * lanes + normal_kernel::kLanes);
+      std::vector<uint64_t> b(a.size());
+      copy.draws(&states, lanes, kFirstCall, a.data(), b.data());
+      copy.draws(&states, lanes, kPairs - kFirstCall,
+                 a.data() + kFirstCall * lanes, b.data() + kFirstCall * lanes);
+      size_t differ = 0;
+      for (size_t i = 0; i < kPairs; ++i) {
+        for (size_t j = 0; j < lanes; ++j) {
+          differ += a[i * lanes + j] != serial[j].NextU64();
+          differ += b[i * lanes + j] != serial[j].NextU64();
+        }
+      }
+      EXPECT_EQ(differ, 0u);
+      for (size_t j = 0; j < lanes; ++j) {
+        const RngState want = serial[j].SaveState();
+        for (int w = 0; w < 4; ++w) EXPECT_EQ(states.s[w][j], want.s[w]);
+      }
+    }
+  }
+}
+
+// Every copy's check, on its own lane draws and kernel: each value it keeps
+// is the float Normal(mean, stddev) gives on that lane's stream, over 2^22
+// pairs at three (mean, stddev); and some values are refused.
+TEST(NormalKernelTest, EveryCopysCheckKeepsOnlyNormalsFloat) {
+  constexpr size_t kLanes = normal_kernel::kLanes;
+  constexpr size_t kRows = 512;  // pairs a lane per batch
+  constexpr size_t kBatch = kRows * kLanes;
+  constexpr size_t kBatches = (size_t{1} << 22) / kBatch;
+  const std::pair<double, double> settings[] = {
+      {0.0, 1.0}, {-0.75, 2.5}, {0.0, 0.02}};
+  for (const normal_kernel::Copy& copy : normal_kernel::Copies()) {
+    if (!copy.runnable) continue;
+    SCOPED_TRACE(copy.name);
+    std::vector<Rng> serial;
+    normal_kernel::LaneStates states = LaneStarts(9000, kLanes, &serial);
+    std::vector<uint64_t> a(kBatch + kLanes), b(kBatch + kLanes);
+    std::vector<double> z0(kBatch), z1(kBatch);
+    std::vector<float> f(2 * kBatch);
+    size_t kept = 0, refused = 0, wrong = 0;
+    for (size_t batch = 0; batch < kBatches; ++batch) {
+      const auto [mean, stddev] = settings[batch % 3];
+      copy.draws(&states, kLanes, kRows, a.data(), b.data());
+      copy.kernel(a.data(), b.data(), kBatch, z0.data(), z1.data());
+      const bool all_kept =
+          copy.check(z0.data(), z1.data(), kBatch, mean, stddev, f.data());
+      size_t batch_refused = 0;
+      for (size_t i = 0; i < kRows; ++i) {
+        for (size_t j = 0; j < kLanes; ++j) {
+          for (size_t v = 0; v < 2; ++v) {
+            const float want = static_cast<float>(serial[j].Normal(mean, stddev));
+            const float got = f[2 * (i * kLanes + j) + v];
+            if (std::isnan(got)) {
+              ++batch_refused;
+            } else {
+              ++kept;
+              wrong += std::memcmp(&got, &want, sizeof(float)) != 0;
+            }
+          }
+        }
+      }
+      EXPECT_EQ(all_kept, batch_refused == 0);
+      refused += batch_refused;
+    }
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_GE(refused, 1u);
+    EXPECT_GT(kept, 1000 * refused);
+  }
+}
+
+// KeepFloatKeepsOnlyWhatRoundsOneWay's cases through every copy's check,
+// and FillNormalRoundsFloatMidpointsLikeNormal's through every copy's
+// claim of one lane: a first value exactly on a float midpoint, which the
+// check must refuse and ExactPair must round as Normal() does.
+TEST(NormalKernelTest, EveryCopyRefusesEdgesAndMidpoints) {
+  for (const normal_kernel::Copy& copy : normal_kernel::Copies()) {
+    if (!copy.runnable) continue;
+    SCOPED_TRACE(copy.name);
+    const auto checked = [&](double mean, double stddev, double z) {
+      const double z0[1] = {z}, z1[1] = {1.5};
+      float f[2] = {};
+      const bool all_kept = copy.check(z0, z1, 1, mean, stddev, f);
+      EXPECT_EQ(all_kept, !std::isnan(f[0]) && !std::isnan(f[1]));
+      return f[0];
+    };
+    for (double sign : {1.0, -1.0}) {
+      const double midpoint = sign * (1.0 + 0x1p-24);
+      for (double y : {std::nextafter(midpoint, 0.0),
+                       std::nextafter(midpoint, 2.0 * midpoint)}) {
+        EXPECT_TRUE(std::isnan(checked(y, 1.0, 0.0))) << y;
+        EXPECT_TRUE(std::isnan(checked(0.0, 1.0, y))) << y;
+        EXPECT_TRUE(std::isnan(checked(0.5 * y, 0.25, 2.0 * y))) << y;
+      }
+    }
+    for (const auto& [mean, stddev, z, want] :
+         {std::tuple{0.0, 1.0, 1.5, 1.5f}, std::tuple{0.25, 2.0, 0.625, 1.5f},
+          std::tuple{-0.75, 2.5, 0.0, -0.75f},
+          std::tuple{0.0, 0.02, 0.5, static_cast<float>(0.01)},
+          std::tuple{0.0, 1.0, 0x1p-140, 0x1p-140f}}) {
+      EXPECT_EQ(checked(mean, stddev, z), want)
+          << mean << " + " << stddev << " * " << z;
+    }
+    for (const auto& [mean, z] :
+         {std::pair{0.0, 0.0}, std::pair{0.0, -0.0}, std::pair{1.0, -1.0},
+          std::pair{0.0, 1e-60}, std::pair{0.0, -1e-60},
+          std::pair{0.0, std::nan("")}, std::pair{std::nan(""), 0.5}}) {
+      EXPECT_TRUE(std::isnan(checked(mean, 1.0, z))) << mean << " " << z;
+    }
+
+    constexpr double kStddev = 0.7;
+    constexpr size_t kPairs = 32;
+    const double midpoint = 0x1p-10 * (1.0 + 0x1p-24);  // ties to 0x1p-10f
+    int tried = 0;
+    for (uint64_t seed = 1; tried < 8 && seed < 10000; ++seed) {
+      Rng probe(seed);
+      const double t = kStddev * probe.Normal();
+      if (std::fabs(t) < 1.0 || std::fabs(t) >= 2.0) continue;
+      const double mean = midpoint - t;
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+      std::vector<Rng> serial;
+      normal_kernel::LaneStates states = LaneStarts(seed, 1, &serial);
+      std::vector<float> got(2 * kPairs), want(2 * kPairs);
+      copy.claim(&states, 1, kPairs, got.data(), mean, kStddev);
+      for (float& w : want) w = static_cast<float>(serial[0].Normal(mean, kStddev));
+      EXPECT_EQ(want[0], 0x1p-10f);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0);
+      const RngState end = serial[0].SaveState();
+      for (int w = 0; w < 4; ++w) EXPECT_EQ(states.s[w][0], end.s[w]);
+      ++tried;
+    }
+    EXPECT_EQ(tried, 8);
+  }
+}
+
 // Values of the `pairs` pairs a fill from `rng` would draw that the check
 // does not keep, with the kernel FillNormal uses.
 size_t CountNotKept(Rng rng, size_t pairs, double mean, double stddev) {
@@ -405,13 +565,17 @@ TEST(RngTest, ChunkJumpEqualsChunkOfDraws) {
 
 TEST(RngTest, FillNormalMatchesSequentialLoop) {
   constexpr size_t kChunk = Rng::kFillNormalChunk;
-  // From 2 * kChunk up these run the threaded path, given more than one
-  // allowed CPU; 2 * kChunk only without a cached variate, as exactly two
-  // whole chunks, the smallest threaded fill. 3 * kChunk + 3 ends in a
-  // one-pair chunk, whose filler's state the generator ends with.
+  // Fills of more than one claim (8 chunks) run on several threads, given
+  // more than one allowed CPU. 2 * kChunk is exactly two whole chunks only
+  // without a cached variate. 3 * kChunk + 3 ends in a one-pair chunk,
+  // whose filler's state the generator ends with. kChunk / 2 + 1,
+  // 6 * kChunk + 1001 and 8 * kChunk + 7 are 1, 7 and 9 chunks ending in a
+  // partial one: a claim of one lane, one of seven, and a full claim
+  // followed by a one-lane claim, the smallest fill that spawns a thread.
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, kChunk - 1,
                    kChunk, kChunk + 1, 2 * kChunk, 3 * kChunk + 1,
-                   3 * kChunk + 3, size_t{1} << 20, (size_t{1} << 20) + 1}) {
+                   3 * kChunk + 3, size_t{1} << 20, (size_t{1} << 20) + 1,
+                   kChunk / 2 + 1, 6 * kChunk + 1001, 8 * kChunk + 7}) {
     for (bool cached : {false, true}) {
       ExpectFillMatchesLoop(n, cached, 0.0, 1.0);
       const size_t not_kept = ExpectFillMatchesLoop(n, cached, -0.75, 2.5);
@@ -461,26 +625,31 @@ TEST(RngTest, FillNormalRoundsFloatMidpointsLikeNormal) {
 }
 
 // The fill takes its thread count from the caller's CPU affinity; one
-// allowed CPU means the inline path, and must give the same bytes.
+// allowed CPU means the caller claims alone, and must give the same bytes.
+// 8 * kFillNormalChunk + 7 is 9 chunks ending in a partial one: a claim of
+// 8 lanes and one of 1, which two allowed CPUs take on two threads.
 TEST(RngTest, FillNormalDoesNotDependOnThreadCount) {
-  constexpr size_t kN = 40 * Rng::kFillNormalChunk + 5;
-  std::vector<float> wide(kN), narrow(kN);
-  Rng a(77), b(77);
-  a.FillNormal(wide.data(), kN, 0.5, 0.02);
-  cpu_set_t all, one;
-  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
-  CPU_ZERO(&one);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &all)) {
-      CPU_SET(cpu, &one);
-      break;
+  for (size_t n : {40 * Rng::kFillNormalChunk + 5,
+                    8 * Rng::kFillNormalChunk + 7}) {
+    SCOPED_TRACE(n);
+    std::vector<float> wide(n), narrow(n);
+    Rng a(77), b(77);
+    a.FillNormal(wide.data(), n, 0.5, 0.02);
+    cpu_set_t all, one;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &all)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
     }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    b.FillNormal(narrow.data(), n, 0.5, 0.02);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+    EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), n * sizeof(float)), 0);
+    EXPECT_EQ(a.NextU64(), b.NextU64());
   }
-  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
-  b.FillNormal(narrow.data(), kN, 0.5, 0.02);
-  ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
-  EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), kN * sizeof(float)), 0);
-  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 // CRC-32 one bit at a time, straight from the polynomial.
