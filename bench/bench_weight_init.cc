@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "serve/inference_server.h"
 #include "serve/serving_model.h"
 #include "util/rng.h"
@@ -62,6 +63,11 @@ extern char** environ;
 
 namespace {
 
+using llm::bench::GitSha;
+using llm::bench::NowNs;
+using llm::bench::PrintQuartiles;
+using llm::bench::Quartiles;
+using llm::bench::Summarize;
 using llm::util::Rng;
 
 // bench_e2e's server: 8 slots, one worker, a 64-deep queue.
@@ -82,12 +88,6 @@ size_t EmbeddingValues() {
 
 constexpr double kMean = 0.0;
 constexpr double kStddev = 0.02;  // every weight matrix's init
-
-double NowNs(clockid_t clock) {
-  timespec ts{};
-  clock_gettime(clock, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
-}
 
 cpu_set_t AllowedSet() {
   cpu_set_t set;
@@ -140,29 +140,6 @@ namespace nk = llm::util::normal_kernel;
 
 // Rounds of every row, each side's children and the stages alike.
 constexpr int kRounds = 20;
-
-struct Quartiles {
-  double q1 = 0.0, median = 0.0, q3 = 0.0;
-};
-
-// Linear interpolation between order statistics of the rounds that ran
-// (a NaN marks one that did not).
-Quartiles Summarize(std::vector<double> v) {
-  Quartiles q;
-  std::erase_if(v, [](double x) { return std::isnan(x); });
-  if (v.empty()) return q;
-  std::sort(v.begin(), v.end());
-  const auto at = [&](double p) {
-    const double pos = p * static_cast<double>(v.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-  };
-  q.q1 = at(0.25);
-  q.median = at(0.5);
-  q.q3 = at(0.75);
-  return q;
-}
 
 // Output of one spawned child: its stdout, wall time to the first byte,
 // and its rusage. ok is false if it could not run or exited non-zero.
@@ -364,27 +341,6 @@ void StageRound(std::vector<Stage>* rows, uint64_t round) {
   g_sink = g_sink + sink;
 }
 
-std::string GitSha() {
-  const std::string cmd =
-      std::string("git -C '") + TFMR_SOURCE_DIR +
-      "' describe --always --dirty --abbrev=40 2>/dev/null";
-  std::string sha;
-  if (FILE* p = popen(cmd.c_str(), "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), p) != nullptr) sha += buf;
-    pclose(p);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
-}
-
-void PrintQuartiles(FILE* out, const char* key, const Quartiles& q) {
-  std::fprintf(out, "\"%s\":{\"median\":%.4f,\"q1\":%.4f,\"q3\":%.4f}", key,
-               q.median, q.q1, q.q3);
-}
-
 void PrintContestant(FILE* out, const Contestant& c) {
   const char* fill_keys[4] = {"one_cpu_cpu_ns_per_pair",
                               "one_cpu_wall_ns_per_pair",
@@ -461,7 +417,7 @@ int main(int argc, char** argv) {
 
   std::vector<Contestant> sides(1);
   sides[0].binary = "/proc/self/exe";
-  sides[0].sha = GitSha();
+  sides[0].sha = GitSha(TFMR_SOURCE_DIR);
   if (!against.empty()) {
     sides.push_back({});
     sides[1].binary = against;

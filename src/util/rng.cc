@@ -225,32 +225,35 @@ void Rng::FillNormal(float* out, size_t n, double mean, double stddev) {
 
 namespace {
 template <typename T>
-size_t CategoricalImpl(Rng* rng, const std::vector<T>& weights) {
+size_t CategoricalImpl(Rng* rng, const T* weights, size_t n) {
   double total = 0.0;
-  for (T w : weights) {
-    LLM_CHECK_GE(w, T(0));
-    total += static_cast<double>(w);
+  for (size_t i = 0; i < n; ++i) {
+    LLM_CHECK_GE(weights[i], T(0));
+    total += static_cast<double>(weights[i]);
   }
   LLM_CHECK_GT(total, 0.0) << "Categorical needs a positive weight";
   double u = rng->Uniform() * total;
   double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     acc += static_cast<double>(weights[i]);
     if (u < acc) return i;
   }
   // Floating-point slack: fall back to the last positive weight.
-  for (size_t i = weights.size(); i > 0; --i) {
+  for (size_t i = n; i > 0; --i) {
     if (weights[i - 1] > T(0)) return i - 1;
   }
-  return weights.size() - 1;
+  return n - 1;
 }
 }  // namespace
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
-  return CategoricalImpl(this, weights);
+  return CategoricalImpl(this, weights.data(), weights.size());
 }
 size_t Rng::Categorical(const std::vector<float>& weights) {
-  return CategoricalImpl(this, weights);
+  return CategoricalImpl(this, weights.data(), weights.size());
+}
+size_t Rng::Categorical(const float* weights, size_t n) {
+  return CategoricalImpl(this, weights, n);
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

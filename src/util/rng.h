@@ -72,6 +72,8 @@ class Rng {
   /// Requires at least one strictly positive weight.
   size_t Categorical(const std::vector<double>& weights);
   size_t Categorical(const std::vector<float>& weights);
+  /// The same draw over weights[0, n).
+  size_t Categorical(const float* weights, size_t n);
 
   /// Fisher-Yates shuffle.
   template <typename T>

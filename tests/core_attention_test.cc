@@ -85,7 +85,9 @@ TEST(AttentionForward, WindowLimitsContext) {
     for (int64_t j = 0; j < 8; ++j) {
       const float p = probs.At({0, 0, i, j});
       const bool allowed = j <= i && j >= i - 2;  // window of 3
-      if (!allowed) EXPECT_EQ(p, 0.0f) << i << "," << j;
+      if (!allowed) {
+        EXPECT_EQ(p, 0.0f) << i << "," << j;
+      }
     }
   }
 }

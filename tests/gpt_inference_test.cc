@@ -193,7 +193,9 @@ TEST(GptInferenceTest, StopTokenHonoured) {
   gopts.stop_token = 4;
   util::Rng gen_rng(2);
   auto out = sample::GenerateCached(model, {1}, gopts, &gen_rng);
-  if (out.size() < 10u) EXPECT_EQ(out.back(), 4);
+  if (out.size() < 10u) {
+    EXPECT_EQ(out.back(), 4);
+  }
 }
 
 }  // namespace
