@@ -1,17 +1,24 @@
 // Decode-stage harness: what producing one token of the serving model
-// costs, stage by stage. Its rows so far are the sampler's.
+// costs, stage by stage. Its rows so far are the whole decode step's and
+// the sampler's.
 //
-// Rows, each a median with quartiles over kRounds rounds, in us a call of
-// thread CPU time:
+// Rows, each a median with quartiles over kRounds rounds, of thread CPU
+// time a call:
+//   step    nn::BatchedDecodeStep on GPTModel(ServingConfig(), Rng(3)), in
+//           ms/call: the mean call over one pass of the 48-position window
+//           at B = 1, 2, 4 and 8 lanes, each lane a serve::KvCachePool slot
+//           fed bench_e2e's layer tokens (1 + 7919 * (lane * 64 + pos)) %
+//           vocab. A round runs one pass, about 0.4 s at B = 1 and 0.8 s
+//           at B = 8 on a 4-vCPU VM.
 //   sample  sample::SampleFromLogits at the serving vocabulary (32768) on
-//           the serving model's logits row: GPTModel(ServingConfig(),
-//           Rng(3)) after one session pass over the 48-token window, the
-//           row bench_e2e's traced pass times. Variants: greedy, T 0.8,
-//           T 0.8 with top-k 50, and T 0.8 with top-p 0.9 (chat_mix's
-//           setting).
-// A round times each row once, over a fixed number of calls from a fresh
-// Rng(7), and starts at a different row each round, so drift on the host
-// spreads over every row alike.
+//           the serving model's logits row, in us/call: the model's row
+//           after one session pass over the window, the row bench_e2e's
+//           traced pass times. Variants: greedy, T 0.8, T 0.8 with top-k
+//           50, and T 0.8 with top-p 0.9 (chat_mix's setting).
+// Each row first runs one untimed round, so its buffers reach their size.
+// A round then times each row once, starting at a different row each
+// round, so drift on the host spreads over every row alike. The whole run
+// takes about 50 s.
 //
 // Writes BENCH_DECODE.json at the repository root (or --out=PATH) with the
 // git SHA and the core count. No timing gates anything: it exits 1 only if
@@ -22,12 +29,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_record.h"
 #include "nn/gpt_inference.h"
 #include "sample/sampler.h"
+#include "serve/kv_cache_pool.h"
 #include "serve/serving_model.h"
 
 namespace {
@@ -39,40 +49,87 @@ using llm::bench::Summarize;
 constexpr int kRounds = 20;
 
 struct Row {
-  const char* stage;
-  const char* variant;
-  llm::sample::SamplerOptions options;
-  int calls;  // a round's calls
-  std::vector<double> us;
+  std::string stage;
+  std::string variant;
+  const char* unit;             // of the value: "ms/call" or "us/call"
+  double unit_ns;               // nanoseconds in one unit
+  int calls;                    // a round's calls
+  std::function<void()> round;  // makes a round's calls
+  std::vector<double> per_call;
 };
 
-// The serving model's logits after feeding bench_e2e's layer tokens
-// (1 + 7919 * pos) % vocab for every position of the window.
-std::vector<float> ServingLogitsRow() {
-  const llm::nn::GPTConfig cfg = llm::serve::ServingConfig();
-  llm::util::Rng rng(3);
-  const llm::nn::GPTModel model(cfg, &rng);
+void TimeRound(Row* row) {
+  const double start = NowNs(CLOCK_THREAD_CPUTIME_ID);
+  row->round();
+  row->per_call.push_back((NowNs(CLOCK_THREAD_CPUTIME_ID) - start) /
+                          row->unit_ns / row->calls);
+}
+
+// bench_e2e's layer token for `lane` at `pos`.
+int64_t LayerToken(int64_t lane, int64_t pos, int64_t vocab) {
+  return (1 + 7919 * (lane * 64 + pos)) % vocab;
+}
+
+// A step row's round: one pass of the window, a BatchedDecodeStep a
+// position, each of the lanes on its own KvCachePool slot.
+class StepPass {
+ public:
+  StepPass(const llm::nn::GPTModel& model, int64_t lanes)
+      : model_(model),
+        pool_(model.config(), lanes),
+        inputs_(static_cast<size_t>(lanes)),
+        logits_(static_cast<size_t>(lanes * model.config().vocab_size)) {
+    for (int64_t b = 0; b < lanes; ++b) slots_.push_back(pool_.Acquire());
+  }
+
+  void operator()() {
+    const llm::nn::GPTConfig& cfg = model_.config();
+    const auto lanes = static_cast<int64_t>(slots_.size());
+    for (int64_t pos = 0; pos < cfg.max_seq_len; ++pos) {
+      for (int64_t b = 0; b < lanes; ++b) {
+        inputs_[static_cast<size_t>(b)] = {
+            LayerToken(b, pos, cfg.vocab_size), pos,
+            pool_.slot_views(slots_[static_cast<size_t>(b)]),
+            logits_.data() + b * cfg.vocab_size};
+      }
+      llm::nn::BatchedDecodeStep(model_, inputs_.data(), lanes, &scratch_);
+    }
+  }
+
+ private:
+  const llm::nn::GPTModel& model_;
+  llm::serve::KvCachePool pool_;
+  std::vector<int64_t> slots_;
+  std::vector<llm::nn::SeqStepInput> inputs_;
+  std::vector<float> logits_;
+  llm::nn::BatchedScratch scratch_;
+};
+
+// The serving model's logits after feeding lane 0's layer tokens for every
+// position of the window.
+std::vector<float> ServingLogitsRow(const llm::nn::GPTModel& model) {
   llm::nn::GptInferenceSession session(&model);
-  for (int64_t pos = 0; pos < cfg.max_seq_len; ++pos) {
-    session.Append((1 + 7919 * pos) % cfg.vocab_size);
+  for (int64_t pos = 0; pos < model.config().max_seq_len; ++pos) {
+    session.Append(LayerToken(0, pos, model.config().vocab_size));
   }
   return session.logits();
 }
 
 volatile int64_t g_sink = 0;
 
-void TimeRow(const std::vector<float>& logits, Row* row) {
-  llm::util::Rng rng(7);
-  int64_t sink = 0;
-  const double start = NowNs(CLOCK_THREAD_CPUTIME_ID);
-  for (int i = 0; i < row->calls; ++i) {
-    sink += llm::sample::SampleFromLogits(
-        logits.data(), static_cast<int64_t>(logits.size()), row->options,
-        &rng);
-  }
-  row->us.push_back((NowNs(CLOCK_THREAD_CPUTIME_ID) - start) / 1e3 /
-                    row->calls);
-  g_sink = g_sink + sink;
+// A sample row's round: `calls` draws from a fresh Rng(7).
+std::function<void()> SampleCalls(const std::vector<float>& logits,
+                                  llm::sample::SamplerOptions options,
+                                  int calls) {
+  return [&logits, options, calls] {
+    llm::util::Rng rng(7);
+    int64_t sink = 0;
+    for (int i = 0; i < calls; ++i) {
+      sink += llm::sample::SampleFromLogits(
+          logits.data(), static_cast<int64_t>(logits.size()), options, &rng);
+    }
+    g_sink = g_sink + sink;
+  };
 }
 
 }  // namespace
@@ -88,20 +145,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<float> logits = ServingLogitsRow();
-  std::vector<Row> rows = {
-      {"sample", "greedy", {0.0f, 0, 0.0f}, 100, {}},
-      {"sample", "temperature_0.8", {0.8f, 0, 0.0f}, 20, {}},
-      {"sample", "top_k_50", {0.8f, 50, 0.0f}, 5, {}},
-      {"sample", "top_p_0.9", {0.8f, 0, 0.9f}, 5, {}},
-  };
-  for (Row& row : rows) {
-    TimeRow(logits, &row);  // buffers reach their size untimed
-    row.us.clear();
+  const llm::nn::GPTConfig cfg = llm::serve::ServingConfig();
+  llm::util::Rng init(3);
+  const llm::nn::GPTModel model(cfg, &init);
+  const std::vector<float> logits = ServingLogitsRow(model);
+  std::vector<Row> rows;
+  for (int64_t lanes : {1, 2, 4, 8}) {
+    auto pass = std::make_shared<StepPass>(model, lanes);
+    std::string variant(1, 'b');  // not "b" + ...: GCC 12's -Wrestrict
+    variant += std::to_string(lanes);
+    rows.push_back({"step", variant, "ms/call", 1e6,
+                    static_cast<int>(cfg.max_seq_len), [pass] { (*pass)(); },
+                    {}});
   }
+  const auto sample_row = [&](const char* variant,
+                              llm::sample::SamplerOptions options, int calls) {
+    rows.push_back({"sample", variant, "us/call", 1e3, calls,
+                    SampleCalls(logits, options, calls), {}});
+  };
+  sample_row("greedy", {0.0f, 0, 0.0f}, 100);
+  sample_row("temperature_0.8", {0.8f, 0, 0.0f}, 20);
+  sample_row("top_k_50", {0.8f, 50, 0.0f}, 5);
+  sample_row("top_p_0.9", {0.8f, 0, 0.9f}, 5);
+  for (Row& row : rows) row.round();  // buffers reach their size untimed
   for (int r = 0; r < kRounds; ++r) {
     for (size_t k = 0; k < rows.size(); ++k) {
-      TimeRow(logits, &rows[(k + static_cast<size_t>(r)) % rows.size()]);
+      TimeRound(&rows[(k + static_cast<size_t>(r)) % rows.size()]);
     }
   }
 
@@ -121,19 +190,21 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
-                 "%s{\"stage\":\"%s\",\"variant\":\"%s\",\"unit\":\"us/call\","
+                 "%s{\"stage\":\"%s\",\"variant\":\"%s\",\"unit\":\"%s\","
                  "\"calls\":%d,",
-                 i > 0 ? "," : "", row.stage, row.variant, row.calls);
-    llm::bench::PrintQuartiles(out, "value", Summarize(row.us));
+                 i > 0 ? "," : "", row.stage.c_str(), row.variant.c_str(),
+                 row.unit, row.calls);
+    llm::bench::PrintQuartiles(out, "value", Summarize(row.per_call));
     std::fputc('}', out);
   }
   std::fprintf(out, "]}\n");
   std::fclose(out);
 
   for (const Row& row : rows) {
-    const Quartiles q = Summarize(row.us);
-    std::printf("%-7s %-16s %9.1f us/call  (q1 %.1f, q3 %.1f)\n", row.stage,
-                row.variant, q.median, q.q1, q.q3);
+    const Quartiles q = Summarize(row.per_call);
+    std::printf("%-7s %-16s %9.3f %s  (q1 %.3f, q3 %.3f)\n",
+                row.stage.c_str(), row.variant.c_str(), q.median, row.unit,
+                q.q1, q.q3);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

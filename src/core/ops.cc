@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/kernels.h"
+
 namespace llm::core {
 
 namespace {
@@ -26,22 +28,7 @@ void AccumulateIfNeeded(Node* parent, const Tensor& delta) {
   if (parent->requires_grad) parent->EnsureGrad().Add(delta);
 }
 
-// Raw GEMM kernels (row-major). K is the contraction length.
-//   C[m,n] += A[m,k] * B[k,n]
-void GemmAccum(const float* a, const float* b, float* c, int64_t M, int64_t K,
-               int64_t N) {
-  for (int64_t m = 0; m < M; ++m) {
-    const float* arow = a + m * K;
-    float* crow = c + m * N;
-    for (int64_t k = 0; k < K; ++k) {
-      const float av = arow[k];
-      if (av == 0.0f) continue;
-      const float* brow = b + k * N;
-      for (int64_t n = 0; n < N; ++n) crow[n] += av * brow[n];
-    }
-  }
-}
-
+// Raw backward GEMM kernels (row-major); the forward is kernels::Gemm.
 //   dA[m,k] += G[m,n] * B[k,n]  (i.e. G x B^T)
 void GemmAccumBt(const float* g, const float* b, float* da, int64_t M,
                  int64_t N, int64_t K) {
@@ -72,13 +59,14 @@ void GemmAccumAt(const float* a, const float* g, float* db, int64_t M,
   }
 }
 
-/// Unary op helper: out = fwd(x) elementwise, dx += g * dfn(x, y).
+/// Unary op helper: out = fwd(x) over the whole tensor, dx += g * dfn(x, y)
+/// elementwise.
 Variable UnaryElementwise(const char* op, const Variable& x,
-                          float (*fwd)(float),
+                          void (*fwd)(const float*, float*, int64_t),
                           float (*dfn)(float /*x*/, float /*y*/)) {
   const Tensor& xv = x.value();
   Tensor out(xv.shape());
-  for (int64_t i = 0; i < xv.numel(); ++i) out[i] = fwd(xv[i]);
+  fwd(xv.data(), out.data(), xv.numel());
   auto node = MakeNode(op, std::move(out), {x.node()});
   if (node->requires_grad) {
     node->backward = [dfn](Node* n) {
@@ -191,7 +179,8 @@ Variable MatMul(const Variable& a, const Variable& b) {
       << ShapeToString(a.shape()) << " x " << ShapeToString(b.shape());
   const int64_t N = b.value().dim(1);
   Tensor out({M, N});
-  GemmAccum(a.value().data(), b.value().data(), out.data(), M, K, N);
+  kernels::Gemm(a.value().data(), b.value().data(), /*bias=*/nullptr,
+                out.data(), M, K, N);
   auto node = MakeNode("matmul", std::move(out), {a.node(), b.node()});
   if (node->requires_grad) {
     node->backward = [M, K, N](Node* n) {
@@ -267,39 +256,32 @@ Variable AddRowBroadcast(const Variable& x, const Variable& bias) {
 }
 
 Variable Relu(const Variable& x) {
-  return UnaryElementwise(
-      "relu", x, [](float v) { return v > 0.0f ? v : 0.0f; },
-      [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; });
+  return UnaryElementwise("relu", x, kernels::ReluRow, [](float v, float) {
+    return v > 0.0f ? 1.0f : 0.0f;
+  });
 }
-
-namespace {
-constexpr float kGeluScale = 0.7978845608028654f;  // sqrt(2/pi)
-float GeluFwd(float v) {
-  const float cube = 0.044715f * v * v * v;
-  return 0.5f * v * (1.0f + std::tanh(kGeluScale * (v + cube)));
-}
-float GeluBwd(float v, float) {
-  const float cube = 0.044715f * v * v * v;
-  const float t = std::tanh(kGeluScale * (v + cube));
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * v * sech2 * kGeluScale * (1.0f + 3.0f * 0.044715f * v * v);
-}
-}  // namespace
 
 Variable Gelu(const Variable& x) {
-  return UnaryElementwise("gelu", x, GeluFwd, GeluBwd);
+  return UnaryElementwise("gelu", x, kernels::GeluRow, [](float v, float) {
+    const float cube = 0.044715f * v * v * v;
+    const float t = std::tanh(kernels::kGeluScale * (v + cube));
+    const float sech2 = 1.0f - t * t;
+    return 0.5f * (1.0f + t) + 0.5f * v * sech2 * kernels::kGeluScale *
+                                   (1.0f + 3.0f * 0.044715f * v * v);
+  });
 }
 
 Variable TanhOp(const Variable& x) {
-  return UnaryElementwise(
-      "tanh", x, [](float v) { return std::tanh(v); },
-      [](float, float y) { return 1.0f - y * y; });
+  return UnaryElementwise("tanh", x, kernels::TanhRow,
+                          [](float, float y) { return 1.0f - y * y; });
 }
 
 Variable SigmoidOp(const Variable& x) {
   return UnaryElementwise(
-      "sigmoid", x, [](float v) { return 1.0f / (1.0f + std::exp(-v)); },
+      "sigmoid", x,
+      [](const float* v, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-v[i]));
+      },
       [](float, float y) { return y * (1.0f - y); });
 }
 
@@ -682,23 +664,10 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
   const float* bw = beta.value().data();
   float* o = out.data();
   for (int64_t r = 0; r < R; ++r) {
-    const float* row = in + r * C;
-    double m = 0.0;
-    for (int64_t c = 0; c < C; ++c) m += row[c];
-    m /= C;
-    double var = 0.0;
-    for (int64_t c = 0; c < C; ++c) {
-      const double d = row[c] - m;
-      var += d * d;
-    }
-    var /= C;
-    const float rs = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    mean[r] = static_cast<float>(m);
-    rstd[r] = rs;
-    for (int64_t c = 0; c < C; ++c) {
-      const float xhat = (row[c] - static_cast<float>(m)) * rs;
-      o[r * C + c] = gw[c] * xhat + bw[c];
-    }
+    const kernels::RowMoments m =
+        kernels::LayerNormRow(in + r * C, gw, bw, C, eps, o + r * C);
+    mean[r] = m.mean;
+    rstd[r] = m.rstd;
   }
   auto node = MakeNode("layernorm", std::move(out),
                        {x.node(), gamma.node(), beta.node()});
@@ -797,48 +766,17 @@ Variable MultiHeadCausalAttention(const Variable& qkv,
   float* o = out.data();
   float* a = att.data();
 
-  auto q_ptr = [&](int64_t b, int64_t t, int64_t h) {
-    return in + (b * T + t) * C3 + h * hd;
-  };
-  auto k_ptr = [&](int64_t b, int64_t t, int64_t h) {
-    return in + (b * T + t) * C3 + C + h * hd;
-  };
-  auto v_ptr = [&](int64_t b, int64_t t, int64_t h) {
-    return in + (b * T + t) * C3 + 2 * C + h * hd;
-  };
-  auto lo_for = [&](int64_t i) {
-    return window > 0 ? std::max<int64_t>(0, i - window + 1) : int64_t{0};
-  };
-
   for (int64_t b = 0; b < B; ++b) {
     for (int64_t h = 0; h < H; ++h) {
+      // Head h's query, key and value slices of sequence b's row 0.
+      const float* head = in + b * T * C3 + h * hd;
       for (int64_t i = 0; i < T; ++i) {
-        const float* q = q_ptr(b, i, h);
-        float* arow = a + ((b * H + h) * T + i) * T;
-        const int64_t lo = lo_for(i);
-        float maxv = -1e30f;
-        for (int64_t j = lo; j <= i; ++j) {
-          const float* k = k_ptr(b, j, h);
-          float s = 0.0f;
-          for (int64_t c = 0; c < hd; ++c) s += q[c] * k[c];
-          s *= inv_sqrt;
-          arow[j] = s;
-          maxv = std::max(maxv, s);
-        }
-        float sum = 0.0f;
-        for (int64_t j = lo; j <= i; ++j) {
-          arow[j] = std::exp(arow[j] - maxv);
-          sum += arow[j];
-        }
-        const float inv = 1.0f / sum;
-        for (int64_t j = lo; j <= i; ++j) arow[j] *= inv;
-        float* orow = o + (b * T + i) * C + h * hd;
-        for (int64_t c = 0; c < hd; ++c) orow[c] = 0.0f;
-        for (int64_t j = lo; j <= i; ++j) {
-          const float* v = v_ptr(b, j, h);
-          const float p = arow[j];
-          for (int64_t c = 0; c < hd; ++c) orow[c] += p * v[c];
-        }
+        const int64_t lo =
+            window > 0 ? std::max<int64_t>(0, i - window + 1) : int64_t{0};
+        kernels::CausalAttentionRow(head + i * C3, head + C, head + 2 * C, C3,
+                                    lo, i, hd, inv_sqrt,
+                                    a + ((b * H + h) * T + i) * T,
+                                    o + (b * T + i) * C + h * hd);
       }
     }
   }

@@ -5,6 +5,9 @@
 // set is deliberately small and fused where it matters (layernorm, softmax
 // cross-entropy, multi-head causal attention) — the style of llm.c rather
 // than a general broadcasting engine — which keeps every kernel auditable.
+// The forward loops of MatMul, LayerNorm, the activations and the attention
+// run the row kernels of core/kernels.h, which the cached decode step
+// (nn/batched_decode.h) runs too, so the two forwards agree bit for bit.
 #ifndef TFMR_CORE_OPS_H_
 #define TFMR_CORE_OPS_H_
 

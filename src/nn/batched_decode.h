@@ -14,10 +14,14 @@
 //    lane, turning a latency-bound loop into independent, vectorizable
 //    accumulator lanes.
 //
-// Bit-exactness: for each sequence the accumulation order of every output
-// scalar is the same at every batch width (ascending over the reduced
-// index), so a sequence's logits do not depend on what shares its batch,
-// and equal those of a one-lane call such as GptInferenceSession::Append.
+// Bit-exactness: apart from the tied unembedding, the step does no forward
+// math of its own. Its LayerNorms, linear layers, activations and attention
+// are the row kernels of core/kernels.h that GPTModel::ForwardLogits's ops
+// run, and every output scalar accumulates in one order (ascending over the
+// reduced index) at every batch width. So a sequence's logits do not depend
+// on what shares its batch, equal those of a one-lane call such as
+// GptInferenceSession::Append, and equal ForwardLogits's row for that
+// position, on trained weights as on fresh ones.
 #ifndef TFMR_NN_BATCHED_DECODE_H_
 #define TFMR_NN_BATCHED_DECODE_H_
 
@@ -59,7 +63,7 @@ struct BatchedScratch {
   std::vector<float> hidden;   // [B, d_hidden]
   std::vector<float> mlp;      // [B, C]
   std::vector<float> xt;       // [C, Bpad] transposed rows for the unembed
-  std::vector<float> scores;   // attention scratch, max position + 1
+  std::vector<float> scores;   // attention probabilities, max position + 1
 };
 
 /// Advances each of the `n` sequences by one token in a single fused pass.

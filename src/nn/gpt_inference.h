@@ -8,9 +8,9 @@
 //
 // The session is a one-lane BatchedDecodeStep (nn/batched_decode.h) over
 // its own KV slab, so the serving runtime, which runs the same step over
-// pooled cache slots, matches it by construction. It reproduces
-// GPTModel::ForwardLogits (verified in tests/gpt_inference_test.cc across
-// architecture variants).
+// pooled cache slots, matches it by construction. It equals
+// GPTModel::ForwardLogits bit for bit, since both run core/kernels.h's row
+// kernels (checked on perturbed weights in tests/gpt_inference_test.cc).
 #ifndef TFMR_NN_GPT_INFERENCE_H_
 #define TFMR_NN_GPT_INFERENCE_H_
 

@@ -187,8 +187,15 @@ grammar::Grammar RandomGrammar(uint64_t seed) {
   grammar::Grammar g;
   const int num_nt = 2 + static_cast<int>(rng.UniformInt(3));
   const int num_term = 2 + static_cast<int>(rng.UniformInt(4));
-  auto nt = [&](int i) { return "N" + std::to_string(i); };
-  auto term = [&](int i) { return "t" + std::to_string(i); };
+  // Built by appending, not as "N" + std::to_string(i): GCC 12 warns
+  // (-Wrestrict) on that form.
+  auto name = [](char prefix, int i) {
+    std::string s(1, prefix);
+    s += std::to_string(i);
+    return s;
+  };
+  auto nt = [&](int i) { return name('N', i); };
+  auto term = [&](int i) { return name('t', i); };
   // Every nonterminal gets a guaranteed terminal rule (termination) plus
   // 1-2 random expansion rules over nonterminals/terminals.
   for (int i = 0; i < num_nt; ++i) {
