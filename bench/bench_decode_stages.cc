@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_record.h"
@@ -49,8 +50,8 @@ using llm::bench::Summarize;
 constexpr int kRounds = 20;
 
 struct Row {
-  std::string stage;
-  std::string variant;
+  const char* stage;
+  const char* variant;
   const char* unit;             // of the value: "ms/call" or "us/call"
   double unit_ns;               // nanoseconds in one unit
   int calls;                    // a round's calls
@@ -150,10 +151,10 @@ int main(int argc, char** argv) {
   const llm::nn::GPTModel model(cfg, &init);
   const std::vector<float> logits = ServingLogitsRow(model);
   std::vector<Row> rows;
-  for (int64_t lanes : {1, 2, 4, 8}) {
+  const std::pair<int64_t, const char*> kStepWidths[] = {
+      {1, "b1"}, {2, "b2"}, {4, "b4"}, {8, "b8"}};
+  for (const auto& [lanes, variant] : kStepWidths) {
     auto pass = std::make_shared<StepPass>(model, lanes);
-    std::string variant(1, 'b');  // not "b" + ...: GCC 12's -Wrestrict
-    variant += std::to_string(lanes);
     rows.push_back({"step", variant, "ms/call", 1e6,
                     static_cast<int>(cfg.max_seq_len), [pass] { (*pass)(); },
                     {}});
@@ -192,8 +193,8 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "%s{\"stage\":\"%s\",\"variant\":\"%s\",\"unit\":\"%s\","
                  "\"calls\":%d,",
-                 i > 0 ? "," : "", row.stage.c_str(), row.variant.c_str(),
-                 row.unit, row.calls);
+                 i > 0 ? "," : "", row.stage, row.variant, row.unit,
+                 row.calls);
     llm::bench::PrintQuartiles(out, "value", Summarize(row.per_call));
     std::fputc('}', out);
   }
@@ -202,9 +203,8 @@ int main(int argc, char** argv) {
 
   for (const Row& row : rows) {
     const Quartiles q = Summarize(row.per_call);
-    std::printf("%-7s %-16s %9.3f %s  (q1 %.3f, q3 %.3f)\n",
-                row.stage.c_str(), row.variant.c_str(), q.median, row.unit,
-                q.q1, q.q3);
+    std::printf("%-7s %-16s %9.3f %s  (q1 %.3f, q3 %.3f)\n", row.stage,
+                row.variant, q.median, row.unit, q.q1, q.q3);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;

@@ -464,17 +464,7 @@ Variable Softmax(const Variable& x) {
   const float* src = x.value().data();
   float* dst = out.data();
   for (int64_t r = 0; r < R; ++r) {
-    const float* in = src + r * C;
-    float* o = dst + r * C;
-    float maxv = in[0];
-    for (int64_t c = 1; c < C; ++c) maxv = std::max(maxv, in[c]);
-    float sum = 0.0f;
-    for (int64_t c = 0; c < C; ++c) {
-      o[c] = std::exp(in[c] - maxv);
-      sum += o[c];
-    }
-    const float inv = 1.0f / sum;
-    for (int64_t c = 0; c < C; ++c) o[c] *= inv;
+    kernels::SoftmaxRow(src + r * C, dst + r * C, C);
   }
   auto node = MakeNode("softmax", std::move(out), {x.node()});
   if (node->requires_grad) {
@@ -511,17 +501,8 @@ Variable CrossEntropyLogits(const Variable& logits,
   double total = 0.0;
   int64_t counted = 0;
   for (int64_t r = 0; r < N; ++r) {
-    const float* row = in + r * V;
     float* prow = p + r * V;
-    float maxv = row[0];
-    for (int64_t c = 1; c < V; ++c) maxv = std::max(maxv, row[c]);
-    float sum = 0.0f;
-    for (int64_t c = 0; c < V; ++c) {
-      prow[c] = std::exp(row[c] - maxv);
-      sum += prow[c];
-    }
-    const float inv = 1.0f / sum;
-    for (int64_t c = 0; c < V; ++c) prow[c] *= inv;
+    kernels::SoftmaxRow(in + r * V, prow, V);
     const int64_t t = targets[static_cast<size_t>(r)];
     if (t == ignore_index) continue;
     LLM_CHECK_GE(t, 0);

@@ -182,11 +182,7 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
         ffn_in = normed;
       }
       LinearRows(mlp->fc_in(), ffn_in, hidden, B);
-      const Activation act = mlp->activation();  // as ApplyActivation's ops
-      (act == Activation::kRelu   ? core::kernels::ReluRow
-       : act == Activation::kGelu ? core::kernels::GeluRow
-                                  : core::kernels::TanhRow)(hidden, hidden,
-                                                            B * hid);
+      ActivationRow(mlp->activation())(hidden, hidden, B * hid);
       LinearRows(mlp->fc_out(), hidden, mlp_out, B);
       for (int64_t i = 0; i < B * C; ++i) x[i] += mlp_out[i];
       if (!block->pre_layernorm()) LayerNormRows(block->ln2(), x, x, B, C);

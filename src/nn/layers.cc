@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/kernels.h"
+
 namespace llm::nn {
 
 Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
@@ -88,6 +90,19 @@ core::Variable ApplyActivation(const core::Variable& x, Activation act) {
   }
   LLM_CHECK(false) << "unknown activation";
   return x;
+}
+
+ActivationRowFn ActivationRow(Activation act) {
+  switch (act) {
+    case Activation::kRelu:
+      return core::kernels::ReluRow;
+    case Activation::kGelu:
+      return core::kernels::GeluRow;
+    case Activation::kTanh:
+      return core::kernels::TanhRow;
+  }
+  LLM_CHECK(false) << "unknown activation";
+  return nullptr;
 }
 
 Mlp::Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, util::Rng* rng,

@@ -78,6 +78,10 @@ enum class Activation { kRelu, kGelu, kTanh };
 
 core::Variable ApplyActivation(const core::Variable& x, Activation act);
 
+/// The core/kernels.h row kernel that ApplyActivation's op runs forward.
+using ActivationRowFn = void (*)(const float* x, float* y, int64_t n);
+ActivationRowFn ActivationRow(Activation act);
+
 /// Two-layer FFN (Eq. 11 with one hidden layer): Linear -> act -> Linear.
 class Mlp : public Module {
  public:

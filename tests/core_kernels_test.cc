@@ -1,8 +1,8 @@
 // Tests for the forward row kernels (core/kernels.h) that the autograd ops
 // and the cached decode step share: the tiled GEMM against a serial loop at
-// shapes with remainders in every dimension, the LayerNorm row in place and
-// in the training association, and the attention row at both strides its
-// callers use.
+// shapes with remainders in every dimension, the LayerNorm and softmax rows
+// in place and in their serial forms, and the attention row at both strides
+// its callers use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,6 +113,30 @@ TEST(LayerNormKernel, InPlaceEqualsOutOfPlaceInTheTrainingAssociation) {
       EXPECT_EQ(std::memcmp(&out[k], &want, sizeof(float)), 0)
           << "c = " << c << " element " << i;
     }
+  }
+}
+
+// The softmax row that the Softmax op, the cross-entropy and the attention
+// row share: in place equals out of place, and both equal the serial form.
+TEST(SoftmaxKernel, InPlaceEqualsOutOfPlaceAndSerialForm) {
+  util::Rng rng(8);
+  for (int64_t n : {1, 7, 24}) {
+    const std::vector<float> x = Normals(n, &rng);
+    std::vector<float> out(x.size());
+    SoftmaxRow(x.data(), out.data(), n);
+    std::vector<float> in_place = x;
+    SoftmaxRow(in_place.data(), in_place.data(), n);
+    EXPECT_TRUE(SameBits(out, in_place)) << "n = " << n;
+    const float maxv = *std::max_element(x.begin(), x.end());
+    std::vector<float> want(x.size());
+    float sum = 0.0f;
+    for (size_t i = 0; i < x.size(); ++i) {
+      want[i] = std::exp(x[i] - maxv);
+      sum += want[i];
+    }
+    const float inv = 1.0f / sum;
+    for (float& v : want) v *= inv;
+    EXPECT_TRUE(SameBits(out, want)) << "n = " << n;
   }
 }
 
