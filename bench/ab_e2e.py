@@ -18,6 +18,10 @@ and so on). It then prints, for every end-to-end metric in BENCHMARK.json:
   - whether the change's median stays inside the metric's bound: worse
     than the parent's median by at most the bound's share of it.
 
+Beside setup_s it prints each side's median setup_raw_s and
+host.reference_ms, the raw set-up time and the host reference it was
+scaled by, read from the BENCH_E2E line that each run's log holds.
+
 Quartiles interpolate linearly between order statistics (numpy's default).
 Each run's stderr goes to LOG_DIR (default: a temporary directory) as
 <side>_<workload>_<seed>.log. Exits 1 if any run reports correct: false or
@@ -38,6 +42,11 @@ import tempfile
 
 # The gain rule's share of pairs the change must win: 9 in every 10.
 GAIN_WINS, GAIN_PAIRS = 9, 10
+
+# What setup_s is computed from: the raw set-up time and the host
+# reference it is scaled by, both in each run's BENCH_E2E log line.
+SETUP_INPUTS = ("setup_raw_s", "host.reference_ms")
+LOG_PREFIX = "BENCH_E2E "
 
 
 def quartiles(values):
@@ -76,6 +85,22 @@ def summarize(parent, change, direction, bound):
         "worse_share": worse_share,
         "inside_bound": worse_share <= bound,
     }
+
+
+def logged_metrics(log_path):
+    """The metrics of the last BENCH_E2E line in a run's log, or {}."""
+    metrics = {}
+    with open(log_path) as log:
+        for line in log:
+            if line.startswith(LOG_PREFIX):
+                metrics = json.loads(line[len(LOG_PREFIX):])["metrics"]
+    return metrics
+
+
+def median_of(runs, name):
+    """The median of metric NAME over the runs' logged metrics, or None."""
+    values = [m[name]["value"] for m in runs if name in m]
+    return statistics.median(values) if values else None
 
 
 def self_test():
@@ -133,6 +158,27 @@ def self_test():
     expect("one pair quartiles", s["parent"], (2.0, 2.0, 2.0))
     expect("one pair gain rule", s["gain_rule"], True)
 
+    # The raw set-up and host reference come from each log's BENCH_E2E
+    # line; a log without one (a run that never started) counts for none.
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = []
+        for i, (raw, ref) in enumerate([(0.0196, 39.1), (0.0152, 38.8),
+                                        (0.0180, 40.0)]):
+            path = pathlib.Path(tmp) / f"run{i}.log"
+            line = json.dumps({"metrics": {
+                "setup_raw_s": {"value": raw, "unit": "s"},
+                "host.reference_ms": {"value": ref, "unit": "ms"}}})
+            path.write_text(f"[100%] Built target bench_e2e\n"
+                            f"{LOG_PREFIX}{line}\n")
+            logs.append(logged_metrics(path))
+        empty = pathlib.Path(tmp) / "empty.log"
+        empty.write_text("build failed\n")
+        logs.append(logged_metrics(empty))
+        expect("logged raw median", median_of(logs, "setup_raw_s"), 0.0180)
+        expect("logged reference median",
+               median_of(logs, "host.reference_ms"), 39.1)
+        expect("unlogged metric", median_of(logs, "capacity_rps"), None)
+
     for line in failures:
         print(f"ab_e2e self-test: {line}", file=sys.stderr)
     print(f"ab_e2e self-test: {'FAILED' if failures else 'ok'}")
@@ -148,7 +194,8 @@ def parse_seeds(text):
 
 
 def run_once(checkout, workload, seed, seconds, log_path):
-    """One untraced run.py; returns its result object, or None."""
+    """One untraced run.py; returns its result object, or None. Its stderr,
+    BENCH_E2E line included, goes to LOG_PATH."""
     command = [sys.executable, str(checkout / "bench" / "e2e" / "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
@@ -183,6 +230,7 @@ def main():
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     results = {"parent": [], "change": []}
+    logged = {"parent": [], "change": []}
     firsts = []
     bad_runs = []
     for i, seed in enumerate(args.seeds):
@@ -201,6 +249,7 @@ def main():
                                 f"{result['failed']} of "
                                 f"{result['attempted']}")
             results[side].append(result)
+            logged[side].append(logged_metrics(log))
             print(f"# {side} seed {seed}: {json.dumps(result)}", flush=True)
 
     print(f"\nworkload {args.workload}, {len(args.seeds)} pairs, seeds "
@@ -222,7 +271,13 @@ def main():
                   f"{winner:>7}")
         for side in ("parent", "change"):
             q1, med, q3 = s[side]
-            print(f"  {side}: median {med:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
+            line = f"  {side}: median {med:.4f} (q1 {q1:.4f}, q3 {q3:.4f})"
+            if name == "setup_s":
+                for key in SETUP_INPUTS:
+                    value = median_of(logged[side], key)
+                    line += (f", {key} median {value:.4f}" if value is not None
+                             else f", {key} not logged")
+            print(line)
         print(f"  wins: change {s['change_wins']}, parent "
               f"{s['parent_wins']}, of {s['pairs']} pairs")
         print(f"  gain rule (>= {GAIN_WINS} of {GAIN_PAIRS} pairs won and "

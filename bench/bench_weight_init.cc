@@ -15,14 +15,24 @@
 //   fill    one FillNormal of the serving model's tied embedding (32768 x
 //           256 values) into touched memory, in a fresh child process, on
 //           one CPU and on every allowed CPU: CPU and wall time;
+//   model   GPTModel(ServingConfig(), Rng(3)) alone, in a fresh child
+//           process: the wall time, CPU (user + sys, every thread) and
+//           minor faults of the build itself, without the process's start
+//           or the server's;
 //   cold    GPTModel(ServingConfig(), Rng(3)) plus InferenceServer::Start()
 //           in a fresh child process: its CPU (user + sys) and minor
 //           faults from wait4, and the wall time from spawn to its ready
-//           byte.
+//           byte;
+//   spin    how many CPUs the host delivered in each round: a fixed
+//           integer spin timed on one thread, then split evenly over one
+//           thread per allowed CPU, in wall time; delivered CPUs are the
+//           first time over the second (the allowed count when every CPU
+//           runs, about 1 when the host runs one at a time). A fill or
+//           build on every allowed CPU is only as fast as that.
 // The draws, kernel, check and claim rows run on the calling thread and
 // are timed in thread CPU time.
 //
-// --against=PATH adds another build's fill and cold rows, in rounds
+// --against=PATH adds another build's fill, model and cold rows, in rounds
 // interleaved with this build's (the side that goes first alternates), and
 // counts the rounds this build won of those where both sides' children
 // ran (a failed child leaves its round out). PATH is this file built with
@@ -49,6 +59,7 @@
 #include <ctime>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_record.h"
@@ -86,8 +97,12 @@ size_t EmbeddingValues() {
   return static_cast<size_t>(cfg.vocab_size * cfg.d_model);
 }
 
+// The tied embedding's init, which the fill row and the cross-check draw
+// with: Embedding passes mean 0.0f and stddev 0.02f, which reach FillNormal
+// as these doubles. (The model's Linear weights draw with 1/sqrt(in):
+// 0.0625 and 0.03125 in the serving model.)
 constexpr double kMean = 0.0;
-constexpr double kStddev = 0.02;  // every weight matrix's init
+constexpr double kStddev = static_cast<double>(0.02f);
 
 cpu_set_t AllowedSet() {
   cpu_set_t set;
@@ -104,6 +119,20 @@ int RunChild(const std::string& mode) {
     llm::serve::InferenceServer server(&model, ServerConfig());
     server.Start();
     return write(STDOUT_FILENO, "1", 1) == 1 ? 0 : 1;
+  }
+  if (mode == "model") {
+    rusage before{}, after{};
+    getrusage(RUSAGE_SELF, &before);
+    const double cpu0 = NowNs(CLOCK_PROCESS_CPUTIME_ID);
+    const double wall0 = NowNs(CLOCK_MONOTONIC);
+    Rng rng(3);
+    const llm::nn::GPTModel model(llm::serve::ServingConfig(), &rng);
+    const double wall = NowNs(CLOCK_MONOTONIC) - wall0;
+    const double cpu = NowNs(CLOCK_PROCESS_CPUTIME_ID) - cpu0;
+    getrusage(RUSAGE_SELF, &after);
+    std::printf("%.4f %.4f %ld\n", wall / 1e6, cpu / 1e6,
+                after.ru_minflt - before.ru_minflt);
+    return 0;
   }
   if (mode == "fill") {
     std::vector<float> out(EmbeddingValues());  // touched: no fault is timed
@@ -190,12 +219,13 @@ ChildRun Spawn(const std::string& binary, const std::string& mode) {
   return run;
 }
 
-// The fill and cold rows of one build, a value per round: NaN where the
-// round's child failed.
+// The fill, model and cold rows of one build, a value per round: NaN where
+// the round's child failed.
 struct Contestant {
   std::string binary;
   std::string sha;
   std::vector<double> fill[4];  // one CPU cpu/wall, all CPUs cpu/wall
+  std::vector<double> model[3];  // wall ms, cpu ms, minor faults
   std::vector<double> cold_cpu_ms, cold_wall_ms, cold_faults;
   int failures = 0;
 
@@ -209,6 +239,13 @@ struct Contestant {
       ++failures;
     }
     for (int i = 0; i < 4; ++i) fill[i].push_back(v[i]);
+    const ChildRun model_run = Spawn(binary, "model");
+    if (!model_run.ok || std::sscanf(model_run.out.c_str(), "%lf %lf %lf",
+                                     &v[0], &v[1], &v[2]) != 3) {
+      std::fill(v, v + 3, kFailed);
+      ++failures;
+    }
+    for (int i = 0; i < 3; ++i) model[i].push_back(v[i]);
     const ChildRun cold = Spawn(binary, "cold");
     failures += !cold.ok;
     cold_cpu_ms.push_back(cold.ok ? cold.cpu_ms : kFailed);
@@ -223,6 +260,43 @@ struct Stage {
   std::string stage, variant;
   std::vector<double> values;
 };
+
+// Iterations of the spin row's loop: about 37 ms on one CPU of the 4-vCPU
+// VM.
+constexpr uint64_t kSpinSteps = uint64_t{1} << 24;
+
+// kSpinSteps / parts steps of a serial xorshift chain, which the compiler
+// can neither shorten nor vectorize.
+uint64_t Spin(uint64_t seed, uint64_t parts) {
+  uint64_t x = seed | 1;
+  for (uint64_t i = 0; i < kSpinSteps / parts; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+volatile uint64_t g_spin_sink = 0;
+
+// The spin's wall time in ms on one thread, then split over `threads`.
+void SpinRound(size_t threads, std::vector<double>* one_ms,
+               std::vector<double>* all_ms) {
+  double t = NowNs(CLOCK_MONOTONIC);
+  g_spin_sink = g_spin_sink + Spin(1, 1);
+  one_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  std::vector<uint64_t> sinks(threads);
+  t = NowNs(CLOCK_MONOTONIC);
+  {
+    std::vector<std::jthread> team;
+    for (size_t i = 0; i < threads; ++i) {
+      team.emplace_back(
+          [&sinks, i, threads] { sinks[i] = Spin(i + 2, threads); });
+    }
+  }
+  all_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  for (const uint64_t v : sinks) g_spin_sink = g_spin_sink + v;
+}
 
 // Lane states of kLanes consecutive chunks of Rng(seed)'s stream.
 nk::LaneStates ChunkStarts(uint64_t seed) {
@@ -352,6 +426,12 @@ void PrintContestant(FILE* out, const Contestant& c) {
     if (i > 0) std::fputc(',', out);
     PrintQuartiles(out, fill_keys[i], Summarize(c.fill[i]));
   }
+  std::fprintf(out, "},\"model\":{");
+  PrintQuartiles(out, "wall_ms", Summarize(c.model[0]));
+  std::fputc(',', out);
+  PrintQuartiles(out, "cpu_ms", Summarize(c.model[1]));
+  std::fputc(',', out);
+  PrintQuartiles(out, "minor_faults", Summarize(c.model[2]));
   std::fprintf(out, "},\"cold\":{");
   PrintQuartiles(out, "cpu_ms", Summarize(c.cold_cpu_ms));
   std::fputc(',', out);
@@ -423,15 +503,19 @@ int main(int argc, char** argv) {
     sides[1].binary = against;
     sides[1].sha = against_sha;
   }
+  const cpu_set_t allowed = AllowedSet();
   std::vector<Stage> stages;
+  std::vector<double> spin_one_ms, spin_all_ms, delivered;
   for (int r = 0; r < kRounds; ++r) {
+    SpinRound(static_cast<size_t>(CPU_COUNT(&allowed)), &spin_one_ms,
+              &spin_all_ms);
+    delivered.push_back(spin_one_ms.back() / spin_all_ms.back());
     StageRound(&stages, static_cast<uint64_t>(r));
     for (size_t k = 0; k < sides.size(); ++k) {
       sides[(k + static_cast<size_t>(r)) % sides.size()].Round();
     }
   }
 
-  const cpu_set_t allowed = AllowedSet();
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -452,7 +536,17 @@ int main(int argc, char** argv) {
     PrintQuartiles(out, "value", Summarize(s.values));
     std::fputc('}', out);
   }
-  std::fprintf(out, "],\"build\":");
+  std::fprintf(out, "],\"spin\":{");
+  PrintQuartiles(out, "one_thread_ms", Summarize(spin_one_ms));
+  std::fputc(',', out);
+  PrintQuartiles(out, "all_cpus_ms", Summarize(spin_all_ms));
+  std::fputc(',', out);
+  PrintQuartiles(out, "delivered_cpus", Summarize(delivered));
+  std::fprintf(out, ",\"delivered_cpus_by_round\":[");
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    std::fprintf(out, "%s%.2f", i > 0 ? "," : "", delivered[i]);
+  }
+  std::fprintf(out, "]},\"build\":");
   PrintContestant(out, sides[0]);
   if (sides.size() > 1) {
     std::fprintf(out, ",\"against\":");
@@ -461,6 +555,10 @@ int main(int argc, char** argv) {
     PrintWins(out, "one_cpu_fill_cpu", sides[0].fill[0], sides[1].fill[0]);
     std::fputc(',', out);
     PrintWins(out, "all_cpus_fill_wall", sides[0].fill[3], sides[1].fill[3]);
+    std::fputc(',', out);
+    PrintWins(out, "model_wall", sides[0].model[0], sides[1].model[0]);
+    std::fputc(',', out);
+    PrintWins(out, "model_cpu", sides[0].model[1], sides[1].model[1]);
     std::fputc(',', out);
     PrintWins(out, "cold_cpu", sides[0].cold_cpu_ms, sides[1].cold_cpu_ms);
     std::fputc(',', out);
@@ -475,17 +573,25 @@ int main(int argc, char** argv) {
     std::printf("%-7s %-12s %8.3f ns/pair  (q1 %.3f, q3 %.3f)\n",
                 s.stage.c_str(), s.variant.c_str(), q.median, q.q1, q.q3);
   }
+  const Quartiles cpus = Summarize(delivered);
+  std::printf("spin: %.2f CPUs delivered of %d (q1 %.2f, q3 %.2f)\n",
+              cpus.median, CPU_COUNT(&allowed), cpus.q1, cpus.q3);
   for (const Contestant& c : sides) {
     const Quartiles one = Summarize(c.fill[0]), all = Summarize(c.fill[3]);
+    const Quartiles model_wall = Summarize(c.model[0]);
+    const Quartiles model_cpu = Summarize(c.model[1]);
+    const Quartiles model_faults = Summarize(c.model[2]);
     const Quartiles cpu = Summarize(c.cold_cpu_ms);
     const Quartiles wall = Summarize(c.cold_wall_ms);
     const Quartiles faults = Summarize(c.cold_faults);
     std::printf(
-        "%s: fill %.3f ns/pair on one CPU, %.3f wall on all; cold set-up "
-        "%.1f ms CPU (q1 %.1f, q3 %.1f), %.1f ms wall, %.0f faults, %d "
+        "%s: fill %.3f ns/pair on one CPU, %.3f wall on all; model %.1f ms "
+        "wall (q1 %.1f, q3 %.1f), %.1f ms CPU, %.0f faults; cold set-up "
+        "%.1f ms CPU (q1 %.1f, q3 %.1f), %.1f ms wall, %.0f faults; %d "
         "failed children\n",
-        c.sha.c_str(), one.median, all.median, cpu.median, cpu.q1, cpu.q3,
-        wall.median, faults.median, c.failures);
+        c.sha.c_str(), one.median, all.median, model_wall.median,
+        model_wall.q1, model_wall.q3, model_cpu.median, model_faults.median,
+        cpu.median, cpu.q1, cpu.q3, wall.median, faults.median, c.failures);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return checked ? 0 : 1;

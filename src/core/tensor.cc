@@ -18,12 +18,10 @@ namespace {
 // the kernel grants huge pages is its own setting; the values never depend
 // on it.
 void AdviseHugePages(void* p, size_t bytes) {
-  constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
-  const uintptr_t first = reinterpret_cast<uintptr_t>(p);
-  const uintptr_t begin = (first + kHugePage - 1) & ~(kHugePage - 1);
-  const uintptr_t end = (first + bytes) & ~(kHugePage - 1);
-  if (begin < end) {
-    madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+  const util::HugePages whole = util::WholeHugePages(p, bytes);
+  if (whole.count > 0) {
+    madvise(reinterpret_cast<void*>(whole.begin), whole.count * util::kHugePage,
+            MADV_HUGEPAGE);
   }
 }
 
@@ -99,11 +97,15 @@ Tensor Tensor::Unset(Shape shape) {
   return t;
 }
 
-Tensor Tensor::RandomNormal(Shape shape, util::Rng* rng, float mean,
+Tensor Tensor::RandomNormal(Shape shape, NormalSource source, float mean,
                             float stddev) {
-  LLM_CHECK(rng != nullptr);
   Tensor t = Unset(std::move(shape));
-  rng->FillNormal(t.data_.data(), t.data_.size(), mean, stddev);
+  if (source.fills_ != nullptr) {
+    source.fills_->push_back({t.data_.data(), t.data_.size(), mean, stddev});
+  } else {
+    LLM_CHECK(source.rng_ != nullptr);
+    source.rng_->FillNormal(t.data_.data(), t.data_.size(), mean, stddev);
+  }
   return t;
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 
 namespace llm::core {
@@ -28,6 +29,29 @@ int64_t NumElements(const Shape& shape);
 
 /// "[2, 3, 4]" formatting for error messages.
 std::string ShapeToString(const Shape& shape);
+
+/// Where Tensor::RandomNormal's values come from. A util::Rng* converts to
+/// a source that fills each tensor as it is made. Deferred(&fills) leaves
+/// each tensor's storage unset and appends its fill to `fills` instead, so
+/// that one later Rng::FillNormal(fills) writes what filling each tensor
+/// as it was made would have; nothing may read or copy the tensors before
+/// that. It holds no generator, so nothing draws while fills are pending.
+class NormalSource {
+ public:
+  NormalSource(util::Rng* rng) : rng_(rng) {}  // NOLINT: converts implicitly
+  static NormalSource Deferred(std::vector<util::NormalFill>* fills) {
+    LLM_CHECK(fills != nullptr);
+    return NormalSource(nullptr, fills);
+  }
+
+ private:
+  friend class Tensor;
+  NormalSource(util::Rng* rng, std::vector<util::NormalFill>* fills)
+      : rng_(rng), fills_(fills) {}
+
+  util::Rng* rng_;
+  std::vector<util::NormalFill>* fills_ = nullptr;
+};
 
 /// Contiguous row-major float32 tensor.
 class Tensor {
@@ -52,9 +76,10 @@ class Tensor {
   static Tensor Scalar(float value);
   /// Copies `data`, whose size must equal NumElements(shape).
   static Tensor FromVector(Shape shape, const std::vector<float>& data);
-  /// I.i.d. normal entries with the given stddev.
-  static Tensor RandomNormal(Shape shape, util::Rng* rng, float mean = 0.0f,
-                             float stddev = 1.0f);
+  /// I.i.d. normal entries with the given stddev, now or, from a deferred
+  /// source, once its fills run.
+  static Tensor RandomNormal(Shape shape, NormalSource source,
+                             float mean = 0.0f, float stddev = 1.0f);
   /// I.i.d. uniform entries in [lo, hi).
   static Tensor RandomUniform(Shape shape, util::Rng* rng, float lo,
                               float hi);
@@ -116,7 +141,9 @@ class Tensor {
   // std::allocator whose value-less construct() leaves the element unset,
   // so resize() sizes fresh storage without writing it. A construct with a
   // value (assign, copies) falls back to std::construct_at and so still
-  // writes every element.
+  // writes every element. Storage of kHugePage bytes or more starts on a
+  // huge-page boundary, so that all of it but its last partial page is
+  // whole huge pages; the slack before it is never touched.
   template <typename T>
   struct DefaultInitAllocator : std::allocator<T> {
     DefaultInitAllocator() = default;
@@ -125,6 +152,20 @@ class Tensor {
     template <typename U>
     void construct(U* p) {
       ::new (static_cast<void*>(p)) U;
+    }
+    T* allocate(size_t n) {
+      if (n * sizeof(T) < util::kHugePage) {
+        return std::allocator<T>::allocate(n);
+      }
+      return static_cast<T*>(
+          ::operator new(n * sizeof(T), std::align_val_t{util::kHugePage}));
+    }
+    void deallocate(T* p, size_t n) {
+      if (n * sizeof(T) < util::kHugePage) {
+        std::allocator<T>::deallocate(p, n);
+        return;
+      }
+      ::operator delete(p, n * sizeof(T), std::align_val_t{util::kHugePage});
     }
   };
 

@@ -3,11 +3,11 @@
 namespace llm::nn {
 
 CausalSelfAttention::CausalSelfAttention(int64_t d_model, int num_heads,
-                                         util::Rng* rng, int window)
+                                         core::NormalSource init, int window)
     : num_heads_(num_heads),
       window_(window),
-      qkv_(d_model, 3 * d_model, rng),
-      proj_(d_model, d_model, rng) {
+      qkv_(d_model, 3 * d_model, init),
+      proj_(d_model, d_model, init) {
   LLM_CHECK_GT(num_heads, 0);
   LLM_CHECK_EQ(d_model % num_heads, 0);
 }

@@ -15,7 +15,7 @@ class CausalSelfAttention : public Module {
  public:
   /// window = 0 means full causal attention; window = w > 0 restricts each
   /// position to the previous w positions.
-  CausalSelfAttention(int64_t d_model, int num_heads, util::Rng* rng,
+  CausalSelfAttention(int64_t d_model, int num_heads, core::NormalSource init,
                       int window = 0);
 
   /// x: [B, T, C] -> [B, T, C].

@@ -6,8 +6,8 @@
 
 namespace llm::nn {
 
-Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
-               bool bias)
+Linear::Linear(int64_t in_features, int64_t out_features,
+               core::NormalSource init, bool bias)
     : in_features_(in_features),
       out_features_(out_features),
       has_bias_(bias) {
@@ -15,7 +15,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
   LLM_CHECK_GT(out_features, 0);
   const float stddev = 1.0f / std::sqrt(static_cast<float>(in_features));
   weight_ = core::Variable(
-      core::Tensor::RandomNormal({in_features, out_features}, rng, 0.0f,
+      core::Tensor::RandomNormal({in_features, out_features}, init, 0.0f,
                                  stddev),
       /*requires_grad=*/true);
   if (has_bias_) {
@@ -49,12 +49,12 @@ NamedParams Linear::NamedParameters() const {
   return out;
 }
 
-Embedding::Embedding(int64_t vocab_size, int64_t dim, util::Rng* rng)
+Embedding::Embedding(int64_t vocab_size, int64_t dim, core::NormalSource init)
     : vocab_size_(vocab_size), dim_(dim) {
   LLM_CHECK_GT(vocab_size, 0);
   LLM_CHECK_GT(dim, 0);
   weight_ = core::Variable(
-      core::Tensor::RandomNormal({vocab_size, dim}, rng, 0.0f, 0.02f),
+      core::Tensor::RandomNormal({vocab_size, dim}, init, 0.0f, 0.02f),
       /*requires_grad=*/true);
 }
 
@@ -105,10 +105,10 @@ ActivationRowFn ActivationRow(Activation act) {
   return nullptr;
 }
 
-Mlp::Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, util::Rng* rng,
-         Activation act)
-    : fc_in_(in_dim, hidden_dim, rng),
-      fc_out_(hidden_dim, out_dim, rng),
+Mlp::Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
+         core::NormalSource init, Activation act)
+    : fc_in_(in_dim, hidden_dim, init),
+      fc_out_(hidden_dim, out_dim, init),
       act_(act) {}
 
 core::Variable Mlp::Forward(const core::Variable& x) const {

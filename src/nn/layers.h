@@ -11,10 +11,11 @@
 namespace llm::nn {
 
 /// Affine map y = x W + b with x: [N, in], W: [in, out], b: [out].
-/// Weights are initialized N(0, 1/in) per the paper's §6 ("var(W) ~ 1/p").
+/// Weights are initialized N(0, 1/in) per the paper's §6 ("var(W) ~ 1/p"),
+/// from `init` (a util::Rng*, or a deferred source; see core::NormalSource).
 class Linear : public Module {
  public:
-  Linear(int64_t in_features, int64_t out_features, util::Rng* rng,
+  Linear(int64_t in_features, int64_t out_features, core::NormalSource init,
          bool bias = true);
 
   core::Variable Forward(const core::Variable& x) const;
@@ -38,7 +39,7 @@ class Linear : public Module {
 /// Token embedding table (the map iota of Eq. 7, learned).
 class Embedding : public Module {
  public:
-  Embedding(int64_t vocab_size, int64_t dim, util::Rng* rng);
+  Embedding(int64_t vocab_size, int64_t dim, core::NormalSource init);
 
   /// ids -> [ids.size(), dim].
   core::Variable Forward(const std::vector<int64_t>& ids) const;
@@ -85,8 +86,8 @@ ActivationRowFn ActivationRow(Activation act);
 /// Two-layer FFN (Eq. 11 with one hidden layer): Linear -> act -> Linear.
 class Mlp : public Module {
  public:
-  Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, util::Rng* rng,
-      Activation act = Activation::kGelu);
+  Mlp(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
+      core::NormalSource init, Activation act = Activation::kGelu);
 
   core::Variable Forward(const core::Variable& x) const;
 

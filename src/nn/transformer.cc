@@ -25,16 +25,17 @@ util::Status GPTConfig::Validate() const {
   return util::Status::OK();
 }
 
-TransformerBlock::TransformerBlock(const GPTConfig& config, util::Rng* rng)
+TransformerBlock::TransformerBlock(const GPTConfig& config,
+                                   core::NormalSource init)
     : pre_ln_(config.pre_layernorm),
       attention_only_(config.attention_only),
       dropout_(config.dropout),
       ln1_(config.d_model),
       ln2_(config.d_model),
-      attn_(config.d_model, config.n_head, rng, config.attention_window) {
+      attn_(config.d_model, config.n_head, init, config.attention_window) {
   if (!attention_only_) {
     mlp_ = std::make_unique<Mlp>(config.d_model, config.hidden_dim(),
-                                 config.d_model, rng, config.activation);
+                                 config.d_model, init, config.activation);
   }
 }
 
@@ -76,13 +77,24 @@ NamedParams TransformerBlock::NamedParameters() const {
 }
 
 GPTModel::GPTModel(const GPTConfig& config, util::Rng* rng)
+    : GPTModel(config, rng, {}) {}
+
+// Every module allocates its weights unset and queues their fills, in
+// construction order; the one FillNormal at the end writes what a fill of
+// each weight as it was made would have, with one thread team over all of
+// them.
+GPTModel::GPTModel(const GPTConfig& config, util::Rng* rng,
+                   std::vector<util::NormalFill>&& fills)
     : config_(config),
-      tok_emb_(config.vocab_size, config.d_model, rng),
+      tok_emb_(config.vocab_size, config.d_model,
+               core::NormalSource::Deferred(&fills)),
       ln_final_(config.d_model) {
   LLM_CHECK(config.Validate().ok()) << config.Validate().ToString();
+  LLM_CHECK(rng != nullptr);
+  const core::NormalSource init = core::NormalSource::Deferred(&fills);
   if (config.learned_positional) {
     pos_emb_ = core::Variable(
-        core::Tensor::RandomNormal({config.max_seq_len, config.d_model}, rng,
+        core::Tensor::RandomNormal({config.max_seq_len, config.d_model}, init,
                                    0.0f, 0.02f),
         /*requires_grad=*/true);
   } else {
@@ -92,12 +104,13 @@ GPTModel::GPTModel(const GPTConfig& config, util::Rng* rng)
   }
   blocks_.reserve(static_cast<size_t>(config.n_layer));
   for (int i = 0; i < config.n_layer; ++i) {
-    blocks_.push_back(std::make_unique<TransformerBlock>(config, rng));
+    blocks_.push_back(std::make_unique<TransformerBlock>(config, init));
   }
   if (!config.tie_embeddings) {
-    head_ = std::make_unique<Linear>(config.d_model, config.vocab_size, rng,
+    head_ = std::make_unique<Linear>(config.d_model, config.vocab_size, init,
                                      /*bias=*/false);
   }
+  rng->FillNormal(fills);
 }
 
 core::Variable GPTModel::ForwardLogits(const std::vector<int64_t>& tokens,

@@ -50,7 +50,7 @@ struct GPTConfig {
 /// One attention (+FFN) layer with residual connections.
 class TransformerBlock : public Module {
  public:
-  TransformerBlock(const GPTConfig& config, util::Rng* rng);
+  TransformerBlock(const GPTConfig& config, core::NormalSource init);
 
   /// x: [B, T, C] -> [B, T, C].
   core::Variable Forward(const core::Variable& x, bool training,
@@ -95,6 +95,8 @@ struct ForwardOptions {
 
 class GPTModel : public Module {
  public:
+  /// Draws every weight from `rng` in construction order, in one
+  /// Rng::FillNormal over the whole model.
   GPTModel(const GPTConfig& config, util::Rng* rng);
 
   /// tokens: row-major [B, T] flattened; returns logits [B*T, vocab].
@@ -131,6 +133,11 @@ class GPTModel : public Module {
   const Linear* head() const { return head_.get(); }
 
  private:
+  // The modules queue their weights' fills in `fills`, which the public
+  // constructor's temporary keeps alive until this one has run them.
+  GPTModel(const GPTConfig& config, util::Rng* rng,
+           std::vector<util::NormalFill>&& fills);
+
   GPTConfig config_;
   Embedding tok_emb_;
   core::Variable pos_emb_;  // [max_seq_len, d_model]; fixed if sinusoidal

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <sched.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
@@ -8,6 +9,7 @@
 #include <system_error>
 #include <thread>
 
+#include "util/huge_pages.h"
 #include "util/normal_kernel.h"
 
 namespace llm::util {
@@ -49,80 +51,49 @@ size_t AllowedCpus() {
 using normal_kernel::kChunkPairs;
 using normal_kernel::kLanes;
 
-// Writes `pairs` Box-Muller pairs drawn from s to out[0, 2 * pairs) and
-// advances s past them. Returns the last pair's second variate: what
-// Normal() leaves in its cache after handing that variate out.
-//
-// Chunk k starts 2 * k * kChunkPairs draws into the stream. The caller
-// publishes each chunk's start state, reaching the next one by one
-// JumpChunk, and then joins the claiming. A claim is kLanes consecutive
-// chunks (fewer in the last), which the in-use copy fills side by side, one
-// lane each; claims are taken from an atomic counter by the caller and by
-// one worker per further allowed CPU, up to one a claim, so a stalled
-// thread delays only the claim it holds. The fill's last pair is left out
-// of the last claim: its filler draws it with ExactPair, because its second
-// variate is returned as a double, and leaves its state where s ends. A
-// thread that fails to spawn just means fewer workers: the caller alone
-// would still fill every claim.
-double FillPairs(uint64_t* s, float* out, size_t pairs, double mean,
-                 double stddev) {
-  const size_t chunks = (pairs + kChunkPairs - 1) / kChunkPairs;
-  const size_t claims = (chunks + kLanes - 1) / kLanes;
-  const size_t threads = claims > 1 ? AllowedCpus() : 1;
-  const normal_kernel::Claim fill = normal_kernel::InUse().claim;
-  std::vector<std::array<uint64_t, 4>> starts(chunks);
-  std::atomic<size_t> published{0};  // starts[0, published) are final
-  std::atomic<size_t> next{0};       // next claim to take
-  // Written by the last claim's filler: the final state and second variate.
-  std::array<uint64_t, 4> end{};
-  double last_z1 = 0.0;
-  const auto claim = [&] {
-    while (true) {
-      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= claims) return;
-      const size_t first = c * kLanes;
-      const size_t lanes = std::min(kLanes, chunks - first);
-      while (published.load(std::memory_order_acquire) < first + lanes) {
-        std::this_thread::yield();
-      }
-      normal_kernel::LaneStates states;
-      for (size_t j = 0; j < lanes; ++j) {
-        for (int w = 0; w < 4; ++w) states.s[w][j] = starts[first + j][w];
-      }
-      const bool last = first + lanes == chunks;
-      const size_t last_pairs =
-          last ? pairs - 1 - (chunks - 1) * kChunkPairs : kChunkPairs;
-      fill(&states, lanes, last_pairs, out + 2 * first * kChunkPairs, mean,
-           stddev);
-      if (!last) continue;
-      for (int w = 0; w < 4; ++w) end[w] = states.s[w][lanes - 1];
-      const uint64_t a = normal_kernel::XoshiroNext(end.data());
-      const uint64_t b = normal_kernel::XoshiroNext(end.data());
-      last_z1 = normal_kernel::ExactPair(a, b, mean, stddev,
-                                         out + 2 * (pairs - 1));
-    }
-  };
-  // Declared after everything `claim` touches, so that it is destroyed,
-  // joining any thread still running, before they are.
-  std::vector<std::jthread> workers;
-  const size_t spawn = std::min(threads, claims) - 1;
-  workers.reserve(spawn);
-  for (size_t i = 0; i < spawn; ++i) {
-    try {
-      workers.emplace_back(claim);
-    } catch (const std::system_error&) {
-      break;
-    }
+size_t ChunksOf(size_t pairs) {
+  return (pairs + kChunkPairs - 1) / kChunkPairs;
+}
+
+// Moves the state s past `pairs` pairs: one JumpChunk per whole chunk, then
+// a walk of the rest, under kChunkPairs pairs.
+void Advance(uint64_t* s, size_t pairs) {
+  for (; pairs >= kChunkPairs; pairs -= kChunkPairs) {
+    normal_kernel::JumpChunk(s);
   }
-  for (size_t k = 0; k < chunks; ++k) {
-    std::copy(s, s + 4, starts[k].begin());
-    published.store(k + 1, std::memory_order_release);
-    if (k + 1 < chunks) normal_kernel::JumpChunk(s);  // chunk k is whole
+  for (size_t i = 0; i < 2 * pairs; ++i) normal_kernel::XoshiroNext(s);
+}
+
+// One nonempty output of a span fill, in the stream's order: its head, a
+// variate the pair before it left (or the generator's cached one); its run
+// of whole pairs, which claims fill; and its tail, a pair the caller draws
+// itself: the pair that crosses into the next output (tail 1: its first
+// variate ends this output, and its second is the next one's head, or the
+// generator's cached variate), or the span's last pair (tail 2), whose
+// second variate the generator keeps as a double.
+struct Part {
+  const NormalFill* fill;
+  bool head;
+  size_t pairs;        // from fill->out + head
+  size_t tail;         // values the tail pair writes here: 0, 1 or 2
+  size_t first_chunk;  // the run's chunk 0, numbered across all runs
+  size_t first_claim;  // the run's claim 0, numbered likewise
+};
+
+// Faults in pages [first, last) of `pages`, numbered across the list in
+// order, writable, without reading or writing them: MADV_POPULATE_WRITE
+// (Linux 5.14). An older kernel's EINVAL leaves the faults to the fill.
+void Populate(const std::vector<HugePages>& pages, size_t first, size_t last) {
+  size_t base = 0;
+  for (const HugePages& range : pages) {
+    const size_t lo = std::max(first, base);
+    const size_t hi = std::min(last, base + range.count);
+    if (lo < hi) {
+      madvise(reinterpret_cast<void*>(range.begin + (lo - base) * kHugePage),
+              (hi - lo) * kHugePage, MADV_POPULATE_WRITE);
+    }
+    base += range.count;
   }
-  claim();
-  for (auto& worker : workers) worker.join();
-  std::copy(end.begin(), end.end(), s);
-  return last_z1;
 }
 
 }  // namespace
@@ -209,18 +180,140 @@ double Rng::Normal() {
   return z0;
 }
 
-void Rng::FillNormal(float* out, size_t n, double mean, double stddev) {
-  if (n == 0) return;
-  LLM_CHECK(out != nullptr);
-  if (have_cached_normal_) {
-    *out++ = static_cast<float>(Normal(mean, stddev));
-    --n;
+// Every output is planned first: its head, run and tail, its chunks and
+// claims, and the whole huge pages inside it. A claim is kLanes
+// consecutive chunks of one run (fewer at a run's end), which the in-use
+// copy fills side by side, one lane each; chunk k of a run starts k *
+// kChunkPairs pairs into it. Claims are taken from one atomic counter by
+// the caller and by one worker per further allowed CPU, up to one a claim,
+// so a stalled thread delays only the claim it holds. Each worker first
+// faults in its share of the huge pages, page-disjoint from every other
+// member's; the caller meanwhile publishes every chunk's start in stream
+// order, reaching the next by JumpChunk (a walk of the last partial chunk
+// of each run), writes each head and draws each tail, and then faults in
+// the last share, which the claims reach last, before it joins the
+// claiming. A span of up to one claim's pairs runs on the caller alone. A
+// thread that fails to spawn just means fewer workers (its pages are left
+// to the fill): the caller alone would still fill every claim.
+void Rng::FillNormal(std::span<const NormalFill> fills) {
+  // The last output that draws a pair holds the stream's last pair.
+  bool pending = have_cached_normal_;
+  size_t last = fills.size();
+  for (size_t i = 0; i < fills.size(); ++i) {
+    const size_t n = fills[i].n;
+    if (n == 0) continue;
+    LLM_CHECK(fills[i].out != nullptr);
+    if (n > size_t{pending}) last = i;
+    pending = (n - pending) % 2 != 0;
   }
-  // Whole pairs leave the cache empty but holding the last pair's second
-  // variate, as the sequential loop does; SaveState() exposes that field.
-  const size_t pairs = n / 2;
-  if (pairs > 0) cached_normal_ = FillPairs(state_, out, pairs, mean, stddev);
-  if (n % 2 != 0) out[n - 1] = static_cast<float>(Normal(mean, stddev));
+  std::vector<Part> parts;
+  std::vector<HugePages> pages;
+  size_t chunks = 0, claims = 0, run_pairs = 0, page_count = 0;
+  pending = have_cached_normal_;
+  for (size_t i = 0; i < fills.size(); ++i) {
+    const NormalFill& f = fills[i];
+    if (f.n == 0) continue;
+    const size_t drawn = f.n - pending;  // values from this output's pairs
+    const size_t tail = drawn % 2 != 0 ? 1 : i == last && drawn > 0 ? 2 : 0;
+    parts.push_back({&f, pending, (drawn - tail) / 2, tail, chunks, claims});
+    const size_t run_chunks = ChunksOf(parts.back().pairs);
+    chunks += run_chunks;
+    claims += (run_chunks + kLanes - 1) / kLanes;
+    run_pairs += parts.back().pairs;
+    pending = tail == 1;
+    const HugePages whole = WholeHugePages(f.out, f.n * sizeof(float));
+    if (whole.count > 0) pages.push_back(whole);
+    page_count += whole.count;
+  }
+
+  const size_t team =
+      run_pairs > kLanes * kChunkPairs ? std::min(AllowedCpus(), claims) : 1;
+  const normal_kernel::Claim fill = normal_kernel::InUse().claim;
+  std::vector<std::array<uint64_t, 4>> starts(chunks);
+  std::atomic<size_t> published{0};  // starts[0, published) are final
+  std::atomic<size_t> next{0};       // next claim to take
+  const auto claim = [&] {
+    while (true) {
+      const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= claims) return;
+      // The last part whose first claim is at most c: a run with no pairs
+      // has no claim, so it is never the one.
+      const Part& part = *(std::upper_bound(parts.begin(), parts.end(), c,
+                                            [](size_t k, const Part& p) {
+                                              return k < p.first_claim;
+                                            }) -
+                           1);
+      const size_t run_chunks = ChunksOf(part.pairs);
+      const size_t first = (c - part.first_claim) * kLanes;
+      const size_t lanes = std::min(kLanes, run_chunks - first);
+      const size_t global = part.first_chunk + first;
+      while (published.load(std::memory_order_acquire) < global + lanes) {
+        std::this_thread::yield();
+      }
+      normal_kernel::LaneStates states;
+      for (size_t j = 0; j < lanes; ++j) {
+        for (int w = 0; w < 4; ++w) states.s[w][j] = starts[global + j][w];
+      }
+      const size_t last_pairs =
+          first + lanes == run_chunks
+              ? part.pairs - (run_chunks - 1) * kChunkPairs
+              : kChunkPairs;
+      const NormalFill& f = *part.fill;
+      fill(&states, lanes, last_pairs,
+           f.out + part.head + 2 * first * kChunkPairs, f.mean, f.stddev);
+    }
+  };
+  // Member m of the team faults in pages [m * P / team, (m + 1) * P / team)
+  // of the P whole huge pages; the caller is the last member.
+  const auto populate = [&](size_t m) {
+    Populate(pages, m * page_count / team, (m + 1) * page_count / team);
+  };
+  // Declared after everything the workers touch, so that it is destroyed,
+  // joining any thread still running, before they are.
+  std::vector<std::jthread> workers;
+  workers.reserve(team - 1);
+  for (size_t m = 0; m + 1 < team; ++m) {
+    try {
+      workers.emplace_back([&populate, &claim, m] {
+        populate(m);
+        claim();
+      });
+    } catch (const std::system_error&) {
+      break;
+    }
+  }
+
+  // The second variate of the last pair drawn: the next head's value while
+  // one is pending, and at the end cached_normal, which the sequential loop
+  // leaves holding it even when the cache is empty (SaveState() exposes
+  // that field).
+  double last_z1 = cached_normal_;
+  for (const Part& part : parts) {
+    const NormalFill& f = *part.fill;
+    if (part.head) f.out[0] = static_cast<float>(f.mean + f.stddev * last_z1);
+    const size_t run_chunks = ChunksOf(part.pairs);
+    for (size_t k = 0; k < run_chunks; ++k) {
+      std::copy(state_, state_ + 4, starts[part.first_chunk + k].begin());
+      published.store(part.first_chunk + k + 1, std::memory_order_release);
+      Advance(state_, std::min(kChunkPairs, part.pairs - k * kChunkPairs));
+    }
+    if (part.tail > 0) {
+      const uint64_t a = NextU64();
+      const uint64_t b = NextU64();
+      double z0 = 0.0;
+      BoxMuller(a, b, &z0, &last_z1);
+      float* out = f.out + part.head + 2 * part.pairs;
+      out[0] = static_cast<float>(f.mean + f.stddev * z0);
+      if (part.tail == 2) {
+        out[1] = static_cast<float>(f.mean + f.stddev * last_z1);
+      }
+    }
+  }
+  have_cached_normal_ = pending;
+  cached_normal_ = last_z1;
+  populate(team - 1);
+  claim();
+  for (auto& worker : workers) worker.join();
 }
 
 namespace {

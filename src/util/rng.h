@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -24,6 +25,15 @@ struct RngState {
   uint64_t s[4] = {0, 0, 0, 0};
   bool have_cached_normal = false;
   double cached_normal = 0.0;
+};
+
+/// One output of a span FillNormal: n floats at out, each
+/// static_cast<float>(Normal(mean, stddev)).
+struct NormalFill {
+  float* out = nullptr;
+  size_t n = 0;
+  double mean = 0.0;
+  double stddev = 1.0;
 };
 
 /// Seedable xoshiro256** generator with convenience distributions.
@@ -52,17 +62,27 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
 
-  /// Writes exactly what `n` successive
-  /// `static_cast<float>(Normal(mean, stddev))` calls would write, and
-  /// leaves the generator (SaveState() included) exactly where they would.
-  /// The stream is split into chunks, drawn eight at a time side by side,
-  /// and a fill of more than eight chunks shares them with up to one
-  /// thread per further CPU in the caller's affinity mask; the values
-  /// never depend on the thread count or on timing.
-  void FillNormal(float* out, size_t n, double mean, double stddev);
+  /// Writes exactly what FillNormal on each output in order would, and
+  /// leaves the generator (SaveState() included) exactly where those calls
+  /// would: what successive static_cast<float>(Normal(mean, stddev)) calls
+  /// write, with each output's mean and stddev. One pass over all outputs:
+  /// each output's stream is split into chunks, drawn eight at a time side
+  /// by side, and a span of more than eight chunks' pairs shares them with
+  /// up to one thread per further CPU in the caller's affinity mask, each
+  /// of which first faults in its own share of the whole 2 MiB pages inside
+  /// the outputs; the values never depend on the thread count or on timing.
+  /// Outputs must not overlap.
+  void FillNormal(std::span<const NormalFill> fills);
 
-  /// Values per chunk of a FillNormal: chunk k starts k * kFillNormalChunk
-  /// draws into the stream.
+  /// The one-output FillNormal: what `n` successive
+  /// `static_cast<float>(Normal(mean, stddev))` calls would write.
+  void FillNormal(float* out, size_t n, double mean, double stddev) {
+    const NormalFill fill{out, n, mean, stddev};
+    FillNormal(std::span<const NormalFill>(&fill, 1));
+  }
+
+  /// Values per chunk of a FillNormal: chunk k of an output's whole pairs
+  /// starts k * kFillNormalChunk draws into them.
   static constexpr size_t kFillNormalChunk = 8192;
 
   /// Bernoulli draw with success probability p.

@@ -1,13 +1,19 @@
 // Tests for the Tensor substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/tensor.h"
 #include "nn/transformer.h"
 #include "serve/serving_model.h"
 #include "util/crc32.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 
 namespace llm::core {
@@ -174,6 +180,131 @@ TEST(TensorTest, ServingModelWeightsKeepTheirBytes) {
   const double cached = 0x1.0695642a7a345p-3;
   EXPECT_EQ(std::memcmp(&state.cached_normal, &cached, sizeof(double)), 0);
   EXPECT_EQ(rng.NextU64(), 3785851527499389832ULL);
+}
+
+// GPTModel's random weights in construction order: each one's name in
+// NamedParameters() and the stddev its module draws it with (mean 0).
+std::vector<std::pair<std::string, float>> RandomWeights(
+    const nn::GPTConfig& c) {
+  const auto linear = [](int64_t in) {
+    return 1.0f / std::sqrt(static_cast<float>(in));
+  };
+  std::vector<std::pair<std::string, float>> out = {{"tok_emb/weight", 0.02f}};
+  if (c.learned_positional) out.emplace_back("pos_emb", 0.02f);
+  for (int i = 0; i < c.n_layer; ++i) {
+    const std::string block = "blocks/" + std::to_string(i) + "/";
+    out.emplace_back(block + "attn/qkv/weight", linear(c.d_model));
+    out.emplace_back(block + "attn/proj/weight", linear(c.d_model));
+    if (!c.attention_only) {
+      out.emplace_back(block + "mlp/fc_in/weight", linear(c.d_model));
+      out.emplace_back(block + "mlp/fc_out/weight", linear(c.hidden_dim()));
+    }
+  }
+  if (!c.tie_embeddings) out.emplace_back("head/weight", linear(c.d_model));
+  return out;
+}
+
+// GPTModel fills all its weights in one FillNormal at the end of its
+// constructor. Each weight, and the generator after, must equal a
+// FillNormal of each weight in turn, in construction order. Tied and
+// untied heads, learned and sinusoidal positions, an attention-only
+// model, and odd widths and vocabularies, so that fills have odd counts
+// and pairs cross from one weight into the next; a start on a cached
+// variate; a tied embedding of 258,237 values, which every allowed CPU
+// shares, and one over 2 MiB, whose huge page the team faults in.
+TEST(TensorTest, GPTModelWeightsEqualFillsInConstructionOrder) {
+  struct Case {
+    const char* name;
+    nn::GPTConfig config;
+    bool cached;
+  };
+  std::vector<Case> cases;
+  const auto config = [](int64_t vocab, int64_t seq, int64_t d, int layers,
+                         int heads) {
+    nn::GPTConfig c;
+    c.vocab_size = vocab;
+    c.max_seq_len = seq;
+    c.d_model = d;
+    c.n_layer = layers;
+    c.n_head = heads;
+    return c;
+  };
+  nn::GPTConfig c = config(4099, 33, 63, 2, 7);
+  c.tie_embeddings = true;
+  cases.push_back({"tied, learned, shared", c, false});
+  c = config(37, 11, 9, 3, 3);
+  c.learned_positional = false;
+  cases.push_back({"untied, sinusoidal, odd", c, true});
+  c = config(50, 16, 16, 2, 4);
+  c.attention_only = true;
+  cases.push_back({"attention-only", c, false});
+  c = config(8209, 8, 65, 1, 5);
+  c.tie_embeddings = true;
+  cases.push_back({"tied embedding over 2 MiB", c, true});
+  for (const Case& test : cases) {
+    SCOPED_TRACE(test.name);
+    util::Rng rng(17), each(17);
+    if (test.cached) {
+      rng.Normal();
+      each.Normal();
+    }
+    const nn::GPTModel model(test.config, &rng);
+    std::map<std::string, Tensor> params;
+    for (const auto& [name, param] : model.NamedParameters()) {
+      params.emplace(name, param.value());
+    }
+    for (const auto& [name, stddev] : RandomWeights(test.config)) {
+      SCOPED_TRACE(name);
+      ASSERT_EQ(params.count(name), 1u);
+      const Tensor& w = params.at(name);
+      std::vector<float> want(static_cast<size_t>(w.numel()));
+      each.FillNormal(want.data(), want.size(), 0.0, stddev);
+      EXPECT_TRUE(SameBits(w.data(), want.data(), want.size()));
+    }
+    const util::RngState a = rng.SaveState();
+    const util::RngState b = each.SaveState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+    EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+    EXPECT_EQ(
+        std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)), 0);
+    EXPECT_EQ(rng.NextU64(), each.NextU64());
+  }
+}
+
+// Storage of 2 MiB or more starts on a huge-page boundary however the
+// tensor is made, and a copy of a smaller tensor into it keeps that block.
+// ASan checks that every such block goes back through the aligned delete,
+// and one float short of 2 MiB through std::allocator's.
+TEST(TensorTest, LargeStorageStartsOnAHugePage) {
+  constexpr int64_t kFloats = util::kHugePage / sizeof(float);
+  const auto aligned = [](const Tensor& t) {
+    return reinterpret_cast<uintptr_t>(t.data()) % util::kHugePage == 0;
+  };
+  util::Rng rng(5);
+  for (const int64_t n : {kFloats, kFloats + 3, 3 * kFloats + 1}) {
+    SCOPED_TRACE(n);
+    const Tensor zeros({n});
+    const Tensor random = Tensor::RandomNormal({n}, &rng);
+    const Tensor copy(random);
+    Tensor grown = Tensor::Full({5}, 1.0f);
+    grown = random;
+    Tensor shrunk = Tensor::RandomNormal({n}, &rng);
+    const Tensor small = Tensor::Full({7}, 2.0f);
+    shrunk = small;
+    EXPECT_TRUE(aligned(zeros));
+    EXPECT_TRUE(aligned(random));
+    EXPECT_TRUE(aligned(copy));
+    EXPECT_TRUE(aligned(grown));
+    EXPECT_TRUE(aligned(shrunk));
+    EXPECT_TRUE(aligned(random.Reshaped({1, n})));
+    EXPECT_EQ(zeros.MaxAbs(), 0.0f);
+    EXPECT_TRUE(SameBits(copy.data(), random.data(), static_cast<size_t>(n)));
+    EXPECT_TRUE(SameBits(grown.data(), random.data(), static_cast<size_t>(n)));
+    EXPECT_EQ(shrunk.numel(), 7);
+    EXPECT_EQ(shrunk.Sum(), 14.0f);
+  }
+  const Tensor below = Tensor::RandomNormal({kFloats - 1}, &rng);
+  EXPECT_EQ(below.numel(), kFloats - 1);
 }
 
 TEST(TensorTest, RandomUniformBounds) {

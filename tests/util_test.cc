@@ -514,10 +514,22 @@ size_t CountNotKept(Rng rng, size_t pairs, double mean, double stddev) {
   return not_kept;
 }
 
+// The generators a and b are in the same state: every SaveState() field,
+// down to the dead cached_normal a checkpoint still saves, and the next
+// draw.
+void ExpectSameGenerator(Rng* a, Rng* b) {
+  const RngState sa = a->SaveState();
+  const RngState sb = b->SaveState();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sa.s[i], sb.s[i]);
+  EXPECT_EQ(sa.have_cached_normal, sb.have_cached_normal);
+  EXPECT_EQ(
+      std::memcmp(&sa.cached_normal, &sb.cached_normal, sizeof(double)), 0);
+  EXPECT_EQ(a->NextU64(), b->NextU64());
+}
+
 // FillNormal against the sequential loop it replaces, from the same state:
 // the same bytes out (and none written past n), and the same generator
-// after, down to the dead cached_normal field a checkpoint still saves.
-// Returns how many of the fill's values the check did not keep.
+// after. Returns how many of the fill's values the check did not keep.
 size_t ExpectFillMatchesLoop(size_t n, bool cached, double mean,
                              double stddev) {
   SCOPED_TRACE(::testing::Message() << "n=" << n << " cached=" << cached
@@ -539,13 +551,7 @@ size_t ExpectFillMatchesLoop(size_t n, bool cached, double mean,
   }
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0);
-  const RngState a = fill.SaveState();
-  const RngState b = loop.SaveState();
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
-  EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
-  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
-            0);
-  EXPECT_EQ(fill.NextU64(), loop.NextU64());
+  ExpectSameGenerator(&fill, &loop);
   return not_kept;
 }
 
@@ -624,6 +630,24 @@ TEST(RngTest, FillNormalRoundsFloatMidpointsLikeNormal) {
   EXPECT_EQ(tried, 8);
 }
 
+// Runs `body` with the calling thread's affinity narrowed to its first
+// allowed CPU, where a fill runs on the caller alone, and restores it.
+template <typename Body>
+void OnOneCpu(Body body) {
+  cpu_set_t all, one;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  body();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+}
+
 // The fill takes its thread count from the caller's CPU affinity; one
 // allowed CPU means the caller claims alone, and must give the same bytes.
 // 8 * kFillNormalChunk + 7 is 9 chunks ending in a partial one: a claim of
@@ -635,20 +659,73 @@ TEST(RngTest, FillNormalDoesNotDependOnThreadCount) {
     std::vector<float> wide(n), narrow(n);
     Rng a(77), b(77);
     a.FillNormal(wide.data(), n, 0.5, 0.02);
-    cpu_set_t all, one;
-    ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
-    CPU_ZERO(&one);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &all)) {
-        CPU_SET(cpu, &one);
-        break;
-      }
-    }
-    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
-    b.FillNormal(narrow.data(), n, 0.5, 0.02);
-    ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+    OnOneCpu([&] { b.FillNormal(narrow.data(), n, 0.5, 0.02); });
     EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), n * sizeof(float)), 0);
     EXPECT_EQ(a.NextU64(), b.NextU64());
+  }
+}
+
+// One span FillNormal over outputs of `sizes` against FillNormal on each
+// output in turn, from the same state (a variate cached or not): the same
+// bytes in every output, none written past its end, and the same
+// generator after. Output i draws with mean 0.25 i - 0.5 and stddev
+// 0.5 + 0.75 i, so a pair that crosses from one output into the next must
+// give each variate its own output's. An output of size 0 is null.
+void ExpectSpanMatchesEachInOrder(const std::vector<size_t>& sizes,
+                                  bool cached) {
+  SCOPED_TRACE(::testing::Message() << sizes.size() << " outputs, cached="
+                                    << cached);
+  Rng span(91), each(91);
+  for (int i = 0; i < (cached ? 1 : 2); ++i) {
+    span.Normal();
+    each.Normal();
+  }
+  std::vector<std::vector<float>> got, want;
+  std::vector<NormalFill> fills;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    got.emplace_back(sizes[i] + 1, -7.0f);
+    want.emplace_back(sizes[i] + 1, -7.0f);
+    fills.push_back({sizes[i] == 0 ? nullptr : got[i].data(), sizes[i],
+                     0.25 * static_cast<double>(i) - 0.5,
+                     0.5 + 0.75 * static_cast<double>(i)});
+  }
+  span.FillNormal(fills);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    each.FillNormal(want[i].data(), sizes[i], fills[i].mean, fills[i].stddev);
+  }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          want[i].size() * sizeof(float)),
+              0)
+        << "output " << i << " of size " << sizes[i];
+  }
+  ExpectSameGenerator(&span, &each);
+}
+
+// Odd counts (a pair crossing each boundary), zero- and one-value outputs,
+// outputs that start and end on chunk edges (without a cached variate)
+// and off them, spans of many claims on every allowed CPU, and a 6 MiB
+// output, which holds whole 2 MiB pages for the team to fault in while
+// others claim. Each span runs on every allowed CPU and on one.
+TEST(RngTest, SpanFillEqualsEachOutputsFillInOrder) {
+  constexpr size_t kChunk = Rng::kFillNormalChunk;
+  std::vector<std::vector<size_t>> spans = {
+      {3, 0, 1, 5, 2, 1, 1, 7},
+      {1},
+      {0, 0},
+      {kChunk, 2 * kChunk, kChunk, 3},
+      {kChunk - 1, kChunk + 1, 3 * kChunk + 3, kChunk / 2 + 1},
+      {8 * kChunk + 7, 1, 9 * kChunk, 40 * kChunk + 5, 2},
+      {5, (size_t{3} << 19) + 1, 3, 2 * kChunk + 1},
+  };
+  std::vector<size_t> many;
+  for (size_t i = 0; i < 200; ++i) many.push_back(i * 37 % 301);
+  spans.push_back(many);
+  for (const auto& sizes : spans) {
+    for (bool cached : {false, true}) {
+      ExpectSpanMatchesEachInOrder(sizes, cached);
+      OnOneCpu([&] { ExpectSpanMatchesEachInOrder(sizes, cached); });
+    }
   }
 }
 
