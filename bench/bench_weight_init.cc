@@ -261,43 +261,6 @@ struct Stage {
   std::vector<double> values;
 };
 
-// Iterations of the spin row's loop: about 37 ms on one CPU of the 4-vCPU
-// VM.
-constexpr uint64_t kSpinSteps = uint64_t{1} << 24;
-
-// kSpinSteps / parts steps of a serial xorshift chain, which the compiler
-// can neither shorten nor vectorize.
-uint64_t Spin(uint64_t seed, uint64_t parts) {
-  uint64_t x = seed | 1;
-  for (uint64_t i = 0; i < kSpinSteps / parts; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-  }
-  return x;
-}
-
-volatile uint64_t g_spin_sink = 0;
-
-// The spin's wall time in ms on one thread, then split over `threads`.
-void SpinRound(size_t threads, std::vector<double>* one_ms,
-               std::vector<double>* all_ms) {
-  double t = NowNs(CLOCK_MONOTONIC);
-  g_spin_sink = g_spin_sink + Spin(1, 1);
-  one_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
-  std::vector<uint64_t> sinks(threads);
-  t = NowNs(CLOCK_MONOTONIC);
-  {
-    std::vector<std::jthread> team;
-    for (size_t i = 0; i < threads; ++i) {
-      team.emplace_back(
-          [&sinks, i, threads] { sinks[i] = Spin(i + 2, threads); });
-    }
-  }
-  all_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
-  for (const uint64_t v : sinks) g_spin_sink = g_spin_sink + v;
-}
-
 // Lane states of kLanes consecutive chunks of Rng(seed)'s stream.
 nk::LaneStates ChunkStarts(uint64_t seed) {
   Rng rng(seed);
@@ -364,6 +327,41 @@ constexpr size_t kStagePairs = nk::kLanes * nk::kChunkPairs;
 constexpr size_t kBlockPairs = 128;
 
 volatile uint64_t g_sink = 0;
+
+// Iterations of the spin row's loop: about 37 ms on one CPU of the 4-vCPU
+// VM.
+constexpr uint64_t kSpinSteps = uint64_t{1} << 24;
+
+// kSpinSteps / parts steps of a serial xorshift chain, which the compiler
+// can neither shorten nor vectorize.
+uint64_t Spin(uint64_t seed, uint64_t parts) {
+  uint64_t x = seed | 1;
+  for (uint64_t i = 0; i < kSpinSteps / parts; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+// The spin's wall time in ms on one thread, then split over `threads`.
+void SpinRound(size_t threads, std::vector<double>* one_ms,
+               std::vector<double>* all_ms) {
+  double t = NowNs(CLOCK_MONOTONIC);
+  g_sink = g_sink + Spin(1, 1);
+  one_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  std::vector<uint64_t> sinks(threads);
+  t = NowNs(CLOCK_MONOTONIC);
+  {
+    std::vector<std::jthread> team;
+    for (size_t i = 0; i < threads; ++i) {
+      team.emplace_back(
+          [&sinks, i, threads] { sinks[i] = Spin(i + 2, threads); });
+    }
+  }
+  all_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  for (const uint64_t v : sinks) g_sink = g_sink + v;
+}
 
 // One round of every stage row, each timed once: `add` records the ns a
 // pair since the last `start`.
