@@ -1,6 +1,6 @@
 // Decode-stage harness: what producing one token of the serving model
-// costs, stage by stage. Its rows so far are the whole decode step's and
-// the sampler's.
+// costs, stage by stage. Its rows so far are the whole decode step's, its
+// tied unembedding's and the sampler's.
 //
 // Rows, each a median with quartiles over kRounds rounds, of thread CPU
 // time a call:
@@ -10,6 +10,11 @@
 //           fed bench_e2e's layer tokens (1 + 7919 * (lane * 64 + pos)) %
 //           vocab. A round runs one pass, about 0.4 s at B = 1 and 0.8 s
 //           at B = 8 on a 4-vCPU VM.
+//   unembed core::kernels::GemmBt, the step's tied unembedding, over the
+//           serving model's token table at B = 1, 2, 4 and 8 rows, in
+//           ms/call: rows drawn from N(0, 1), the scale of the final
+//           LayerNorm's output, each written to its own logits buffer as
+//           the step writes each lane's. A round makes 2 calls.
 //   sample  sample::SampleFromLogits at the serving vocabulary (32768) on
 //           the serving model's logits row, in us/call: the model's row
 //           after one session pass over the window, the row bench_e2e's
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "bench_record.h"
+#include "core/kernels.h"
 #include "nn/gpt_inference.h"
 #include "sample/sampler.h"
 #include "serve/kv_cache_pool.h"
@@ -106,6 +112,41 @@ class StepPass {
   llm::nn::BatchedScratch scratch_;
 };
 
+// An unembed row's round: `calls` GemmBt calls of `lanes` rows against the
+// token table, each row into its own logits buffer.
+class UnembedCalls {
+ public:
+  UnembedCalls(const llm::nn::GPTModel& model, int64_t lanes, int calls)
+      : table_(model.token_embedding().weight().value().data()),
+        lanes_(lanes),
+        width_(model.config().d_model),
+        vocab_(model.config().vocab_size),
+        calls_(calls),
+        rows_(static_cast<size_t>(lanes * width_)),
+        logits_(static_cast<size_t>(lanes * vocab_)) {
+    llm::util::Rng rng(5);
+    for (float& v : rows_) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (int64_t b = 0; b < lanes; ++b) {
+      outs_.push_back(logits_.data() + b * vocab_);
+    }
+  }
+
+  void operator()() {
+    for (int i = 0; i < calls_; ++i) {
+      llm::core::kernels::GemmBt(rows_.data(), table_, outs_.data(), lanes_,
+                                 width_, vocab_);
+    }
+  }
+
+ private:
+  const float* table_;
+  int64_t lanes_, width_, vocab_;
+  int calls_;
+  std::vector<float> rows_;
+  std::vector<float> logits_;
+  std::vector<float*> outs_;
+};
+
 // The serving model's logits after feeding lane 0's layer tokens for every
 // position of the window.
 std::vector<float> ServingLogitsRow(const llm::nn::GPTModel& model) {
@@ -158,6 +199,12 @@ int main(int argc, char** argv) {
     rows.push_back({"step", variant, "ms/call", 1e6,
                     static_cast<int>(cfg.max_seq_len), [pass] { (*pass)(); },
                     {}});
+  }
+  constexpr int kUnembedCalls = 2;
+  for (const auto& [lanes, variant] : kStepWidths) {
+    auto calls = std::make_shared<UnembedCalls>(model, lanes, kUnembedCalls);
+    rows.push_back({"unembed", variant, "ms/call", 1e6, kUnembedCalls,
+                    [calls] { (*calls)(); }, {}});
   }
   const auto sample_row = [&](const char* variant,
                               llm::sample::SamplerOptions options, int calls) {

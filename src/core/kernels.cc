@@ -2,16 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace llm::core::kernels {
 
 namespace {
+
+// Four-wide SSE-width float vector (GCC/Clang vector extension). Its + and
+// * are ordinary IEEE single-precision ops, so each lane of an accumulator
+// computes exactly the scalar sequence its output would see alone.
+typedef float V4 __attribute__((vector_size(16)));
+typedef float V4U __attribute__((vector_size(16), aligned(4)));
+
+V4 LoadU(const float* p) { return *reinterpret_cast<const V4U*>(p); }
+void StoreU(float* p, V4 v) { *reinterpret_cast<V4U*>(p) = v; }
+V4 Splat(float x) { return V4{x, x, x, x}; }
 
 // Register-tile shape: kTileRows rows times a kTileCols-wide output tile of
 // accumulators (kTileRows * kTileCols / 4 + kTileCols / 4 = 10 live vector
 // registers, within the 16 of SSE).
 constexpr int64_t kTileRows = 4;
 constexpr int64_t kTileCols = 8;
+
+// GemmBt's lane group width, and one thread's transposed group: [in, 8].
+constexpr int64_t kLanes = 8;
+thread_local std::vector<float> t_group;
 
 /// y[o] = x . w[:, o] for o in [o0, out) of one row, each zero x[i] skipped.
 void RowSpan(const float* x, const float* w, float* y, int64_t in,
@@ -79,6 +94,42 @@ void Gemm(const float* x, const float* w, const float* bias, float* y,
     for (int64_t r = 0; r < rows; ++r) {
       float* yr = y + r * out;
       for (int64_t o = 0; o < out; ++o) yr[o] += bias[o];
+    }
+  }
+}
+
+void GemmBt(const float* x, const float* w, float* const* y, int64_t rows,
+            int64_t in, int64_t out) {
+  for (int64_t r0 = 0; r0 < rows; r0 += kLanes) {
+    const int64_t lanes = std::min(kLanes, rows - r0);
+    if (lanes == 1) {
+      const float* xr = x + r0 * in;
+      for (int64_t o = 0; o < out; ++o) {
+        const float* wr = w + o * in;
+        float s = 0.0f;
+        for (int64_t i = 0; i < in; ++i) s += xr[i] * wr[i];
+        y[r0][o] = s;
+      }
+      continue;
+    }
+    t_group.assign(static_cast<size_t>(in * kLanes), 0.0f);
+    float* xt = t_group.data();
+    for (int64_t l = 0; l < lanes; ++l) {
+      const float* xr = x + (r0 + l) * in;
+      for (int64_t i = 0; i < in; ++i) xt[i * kLanes + l] = xr[i];
+    }
+    for (int64_t o = 0; o < out; ++o) {
+      const float* wr = w + o * in;
+      V4 acc0{}, acc1{};
+      for (int64_t i = 0; i < in; ++i) {
+        const V4 wi = Splat(wr[i]);
+        acc0 += LoadU(xt + i * kLanes) * wi;
+        acc1 += LoadU(xt + i * kLanes + 4) * wi;
+      }
+      float acc[kLanes];
+      StoreU(acc, acc0);
+      StoreU(acc + 4, acc1);
+      for (int64_t l = 0; l < lanes; ++l) y[r0 + l][o] = acc[l];
     }
   }
 }

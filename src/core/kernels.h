@@ -1,5 +1,5 @@
-// The forward row kernels: the one copy of the forward math that the
-// autograd ops (core/ops.h) and the cached decode step
+// The row kernels: the one copy of the forward math, tied unembedding
+// included, that the autograd ops (core/ops.h) and the cached decode step
 // (nn/batched_decode.h) both run. The KV-cache decoder therefore equals
 // GPTModel::ForwardLogits bit for bit by construction, on any finite
 // weights: each kernel fixes the order of every floating-point operation
@@ -14,16 +14,6 @@
 #include <cstdint>
 
 namespace llm::core::kernels {
-
-// Four-wide SSE-width float vector (GCC/Clang vector extension). Its + and
-// * are ordinary IEEE single-precision ops, so each lane of an accumulator
-// computes exactly the scalar sequence its output would see alone.
-typedef float V4 __attribute__((vector_size(16)));
-typedef float V4U __attribute__((vector_size(16), aligned(4)));
-
-inline V4 LoadU(const float* p) { return *reinterpret_cast<const V4U*>(p); }
-inline void StoreU(float* p, V4 v) { *reinterpret_cast<V4U*>(p) = v; }
-inline V4 Splat(float x) { return V4{x, x, x, x}; }
 
 /// Y[r] = X[r] W (+ bias) for `rows` rows: X is [rows, in], W [in, out], Y
 /// [rows, out], all row-major; Y must not alias X or W; bias may be null.
@@ -42,6 +32,17 @@ inline V4 Splat(float x) { return V4{x, x, x, x}; }
 /// would not be, so the contract holds for finite weights.
 void Gemm(const float* x, const float* w, const float* bias, float* y,
           int64_t rows, int64_t in, int64_t out);
+
+/// y[r][o] = x[r] . w[o]: X W^T for row-major X [rows, in] and W [out, in],
+/// output row r being the `out` floats at y[r] (no overlaps). It is the
+/// tied unembedding and every MatMul's input gradient. Every output is a
+/// fresh chain from +0 over ascending i, no term skipped. Rows run eight to
+/// a lane group over a zero-padded transposed copy in a per-thread buffer,
+/// so each w[o][i] scales eight chains in two packed products, each lane in
+/// its own chain's order (x * w == w * x bit for bit); a group of one row
+/// runs its chain directly rather than carry seven padding lanes.
+void GemmBt(const float* x, const float* w, float* const* y, int64_t rows,
+            int64_t in, int64_t out);
 
 struct RowMoments {
   float mean = 0.0f;

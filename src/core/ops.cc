@@ -1,6 +1,7 @@
 #include "core/ops.h"
 
 #include <cmath>
+#include <vector>
 
 #include "core/kernels.h"
 
@@ -28,23 +29,19 @@ void AccumulateIfNeeded(Node* parent, const Tensor& delta) {
   if (parent->requires_grad) parent->EnsureGrad().Add(delta);
 }
 
-// Raw backward GEMM kernels (row-major); the forward is kernels::Gemm.
-//   dA[m,k] += G[m,n] * B[k,n]  (i.e. G x B^T)
-void GemmAccumBt(const float* g, const float* b, float* da, int64_t M,
-                 int64_t N, int64_t K) {
-  for (int64_t m = 0; m < M; ++m) {
-    const float* grow = g + m * N;
-    float* darow = da + m * K;
-    for (int64_t k = 0; k < K; ++k) {
-      const float* brow = b + k * N;
-      float acc = 0.0f;
-      for (int64_t n = 0; n < N; ++n) acc += grow[n] * brow[n];
-      darow[k] += acc;
-    }
-  }
+/// X W^T for X [rows, in] and W [out, in], by kernels::GemmBt into a fresh
+/// [rows, out] tensor.
+Tensor GemmBt(const float* x, const float* w, int64_t rows, int64_t in,
+              int64_t out) {
+  Tensor y({rows, out});
+  std::vector<float*> y_rows;
+  for (int64_t r = 0; r < rows; ++r) y_rows.push_back(y.data() + r * out);
+  kernels::GemmBt(x, w, y_rows.data(), rows, in, out);
+  return y;
 }
 
-//   dB[k,n] += A[m,k] * G[m,n]  (i.e. A^T x G)
+// The backward's A^T x G (its G x B^T is GemmBt, its G x B kernels::Gemm):
+//   dB[k,n] += A[m,k] * G[m,n]
 void GemmAccumAt(const float* a, const float* g, float* db, int64_t M,
                  int64_t K, int64_t N) {
   for (int64_t m = 0; m < M; ++m) {
@@ -187,8 +184,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
       Node* a = n->parents[0].get();
       Node* b = n->parents[1].get();
       if (a->requires_grad) {
-        GemmAccumBt(n->grad.data(), b->value.data(),
-                    a->EnsureGrad().data(), M, N, K);
+        a->EnsureGrad().Add(GemmBt(n->grad.data(), b->value.data(), M, N, K));
       }
       if (b->requires_grad) {
         GemmAccumAt(a->value.data(), n->grad.data(),
@@ -199,24 +195,29 @@ Variable MatMul(const Variable& a, const Variable& b) {
   return Variable::FromNode(node);
 }
 
-Variable Transpose2D(const Variable& a) {
+Variable MatMulBt(const Variable& a, const Variable& b) {
   LLM_CHECK_EQ(a.value().ndim(), 2);
-  const int64_t M = a.value().dim(0), N = a.value().dim(1);
-  Tensor out({N, M});
-  const float* src = a.value().data();
-  float* dst = out.data();
-  for (int64_t m = 0; m < M; ++m) {
-    for (int64_t n = 0; n < N; ++n) dst[n * M + m] = src[m * N + n];
-  }
-  auto node = MakeNode("transpose", std::move(out), {a.node()});
+  LLM_CHECK_EQ(b.value().ndim(), 2);
+  const int64_t M = a.value().dim(0), K = a.value().dim(1);
+  LLM_CHECK_EQ(b.value().dim(1), K)
+      << ShapeToString(a.shape()) << " x " << ShapeToString(b.shape()) << "^T";
+  const int64_t N = b.value().dim(0);
+  Tensor out = GemmBt(a.value().data(), b.value().data(), M, K, N);
+  auto node = MakeNode("matmul_bt", std::move(out), {a.node(), b.node()});
   if (node->requires_grad) {
-    node->backward = [M, N](Node* n) {
+    node->backward = [M, K, N](Node* n) {
       Node* a = n->parents[0].get();
-      if (!a->requires_grad) return;
-      Tensor& da = a->EnsureGrad();
-      const float* g = n->grad.data();
-      for (int64_t m = 0; m < M; ++m) {
-        for (int64_t nn = 0; nn < N; ++nn) da[m * N + nn] += g[nn * M + m];
+      Node* b = n->parents[1].get();
+      if (a->requires_grad) {
+        Tensor da({M, K});
+        kernels::Gemm(n->grad.data(), b->value.data(), /*bias=*/nullptr,
+                      da.data(), M, N, K);
+        a->EnsureGrad().Add(da);
+      }
+      if (b->requires_grad) {
+        Tensor db({N, K});
+        GemmAccumAt(n->grad.data(), a->value.data(), db.data(), M, N, K);
+        b->EnsureGrad().Add(db);
       }
     };
   }

@@ -5,9 +5,10 @@
 // set is deliberately small and fused where it matters (layernorm, softmax
 // cross-entropy, multi-head causal attention) — the style of llm.c rather
 // than a general broadcasting engine — which keeps every kernel auditable.
-// The forward loops of MatMul, LayerNorm, the activations and the attention
-// run the row kernels of core/kernels.h, which the cached decode step
-// (nn/batched_decode.h) runs too, so the two forwards agree bit for bit.
+// The forward loops of MatMul, MatMulBt, LayerNorm, the activations and the
+// attention run the row kernels of core/kernels.h, which the cached decode
+// step (nn/batched_decode.h) runs too, so the two forwards agree bit for
+// bit; MatMul's input gradient runs the tied unembedding's kernel, GemmBt.
 #ifndef TFMR_CORE_OPS_H_
 #define TFMR_CORE_OPS_H_
 
@@ -35,8 +36,8 @@ Variable Neg(const Variable& a);
 // ---------------------------------------------------------------------------
 /// [m,k] x [k,n] -> [m,n].
 Variable MatMul(const Variable& a, const Variable& b);
-/// [m,n] -> [n,m].
-Variable Transpose2D(const Variable& a);
+/// [m,k] x [n,k]^T -> [m,n], b never copied: the tied unembedding's op.
+Variable MatMulBt(const Variable& a, const Variable& b);
 /// x: [..., n], bias: [n]; adds bias to every row. The broadcast used for
 /// both Linear bias and positional-embedding addition ([B,T*C] + [T*C]).
 Variable AddRowBroadcast(const Variable& x, const Variable& bias);

@@ -10,11 +10,6 @@ namespace llm::nn {
 
 namespace {
 
-using core::kernels::LoadU;
-using core::kernels::Splat;
-using core::kernels::StoreU;
-using core::kernels::V4;
-
 // A linear layer and a LayerNorm over B contiguous rows, by the kernels that
 // core::MatMul (then core::AddRowBroadcast's bias) and core::LayerNorm run
 // forward. LayerNormRows is safe in place (y == x).
@@ -32,59 +27,6 @@ void LayerNormRows(const LayerNorm& ln, const float* x, float* y, int64_t B,
   for (int64_t b = 0; b < B; ++b) {
     core::kernels::LayerNormRow(x + b * C, gamma, beta, C, ln.eps(),
                                 y + b * C);
-  }
-}
-
-// Lane width of the transposed-activation unembedding kernel.
-constexpr int64_t kLanes = 8;
-
-/// logits[b][v] = normed[b] . E[v] for the tied unembedding: a serial FP
-/// dependency chain per (b, v), ascending over c. A group of two or more
-/// lanes runs its chains in interleaved lanes over a transposed copy of the
-/// rows, so packed ops run across sequences while each chain keeps its
-/// order (and a*b == b*a bit-wise). A group of one lane runs its chain
-/// alone rather than carry seven padding lanes.
-void BatchedTiedUnembed(const core::Tensor& e, const float* normed,
-                        SeqStepInput* seqs, int64_t B, int64_t C, int64_t V,
-                        std::vector<float>* xt_buf) {
-  const int64_t groups = (B + kLanes - 1) / kLanes;
-  const int64_t bpad = groups * kLanes;
-  xt_buf->assign(static_cast<size_t>(C * bpad), 0.0f);
-  float* xt = xt_buf->data();
-  for (int64_t b = 0; b < B; ++b) {
-    const float* row = normed + b * C;
-    for (int64_t c = 0; c < C; ++c) xt[c * bpad + b] = row[c];
-  }
-  for (int64_t g = 0; g < groups; ++g) {
-    const int64_t lanes = std::min(kLanes, B - g * kLanes);
-    if (lanes == 1) {
-      const float* x = normed + g * kLanes * C;
-      float* logits = seqs[g * kLanes].logits;
-      for (int64_t v = 0; v < V; ++v) {
-        const float* row = e.data() + v * C;
-        float s = 0.0f;
-        for (int64_t c = 0; c < C; ++c) s += x[c] * row[c];
-        logits[v] = s;
-      }
-      continue;
-    }
-    const float* xg = xt + g * kLanes;
-    for (int64_t v = 0; v < V; ++v) {
-      const float* row = e.data() + v * C;
-      V4 acc0{}, acc1{};
-      for (int64_t c = 0; c < C; ++c) {
-        const V4 rc = Splat(row[c]);
-        const float* xc = xg + c * bpad;
-        acc0 += LoadU(xc) * rc;
-        acc1 += LoadU(xc + 4) * rc;
-      }
-      float acc[kLanes];
-      StoreU(acc, acc0);
-      StoreU(acc + 4, acc1);
-      for (int64_t l = 0; l < lanes; ++l) {
-        seqs[g * kLanes + l].logits[v] = acc[l];
-      }
-    }
   }
 }
 
@@ -191,8 +133,11 @@ void BatchedDecodeStep(const GPTModel& model, SeqStepInput* seqs, int64_t n,
 
   LayerNormRows(model.final_layernorm(), x, normed, B, C);
   if (cfg.tie_embeddings) {
-    BatchedTiedUnembed(model.token_embedding().weight().value(), normed,
-                       seqs, B, C, cfg.vocab_size, &scratch->xt);
+    // core::MatMulBt's kernel, writing each lane's row into its logits.
+    scratch->logits.clear();
+    for (int64_t b = 0; b < B; ++b) scratch->logits.push_back(seqs[b].logits);
+    core::kernels::GemmBt(normed, emb.data(), scratch->logits.data(), B, C,
+                          cfg.vocab_size);
   } else {
     // Untied head: a batched linear into a contiguous staging block, then
     // scatter to the per-sequence logits buffers.

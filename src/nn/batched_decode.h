@@ -11,15 +11,15 @@
 //  * the tied-unembedding dot products, which for a lone sequence are
 //    serial floating-point dependency chains (strict IEEE forbids the
 //    compiler from reassociating them), are interleaved across the batch
-//    lane, turning a latency-bound loop into independent, vectorizable
-//    accumulator lanes.
+//    lane by core::kernels::GemmBt, turning a latency-bound loop into
+//    independent, vectorizable accumulator lanes.
 //
-// Bit-exactness: apart from the tied unembedding, the step does no forward
-// math of its own. Its LayerNorms, linear layers, activations and attention
-// are the row kernels of core/kernels.h that GPTModel::ForwardLogits's ops
-// run, and every output scalar accumulates in one order (ascending over the
-// reduced index) at every batch width. So a sequence's logits do not depend
-// on what shares its batch, equal those of a one-lane call such as
+// Bit-exactness: the step does no forward math of its own. Its LayerNorms,
+// linear layers, activations, attention and tied unembedding are the row
+// kernels of core/kernels.h that GPTModel::ForwardLogits's ops run, and
+// every output scalar accumulates in one order (ascending over the reduced
+// index) at every batch width. So a sequence's logits do not depend on what
+// shares its batch, equal those of a one-lane call such as
 // GptInferenceSession::Append, and equal ForwardLogits's row for that
 // position, on trained weights as on fresh ones.
 #ifndef TFMR_NN_BATCHED_DECODE_H_
@@ -62,7 +62,7 @@ struct BatchedScratch {
   std::vector<float> proj;     // [B, C]
   std::vector<float> hidden;   // [B, d_hidden]
   std::vector<float> mlp;      // [B, C]
-  std::vector<float> xt;       // [C, Bpad] transposed rows for the unembed
+  std::vector<float*> logits;  // [B] each lane's logits: the unembed's rows
   std::vector<float> scores;   // attention probabilities, max position + 1
 };
 

@@ -10,7 +10,8 @@
 // its own KV slab, so the serving runtime, which runs the same step over
 // pooled cache slots, matches it by construction. It equals
 // GPTModel::ForwardLogits bit for bit, since both run core/kernels.h's row
-// kernels (checked on perturbed weights in tests/gpt_inference_test.cc).
+// kernels, the tied unembedding's included (checked on perturbed weights in
+// tests/gpt_inference_test.cc).
 #ifndef TFMR_NN_GPT_INFERENCE_H_
 #define TFMR_NN_GPT_INFERENCE_H_
 

@@ -152,12 +152,7 @@ core::Variable GPTModel::ForwardLogits(const std::vector<int64_t>& tokens,
       }
     }
   }
-  h = ln_final_.Forward(h);
-  core::Variable flat = core::Reshape(h, {B * T, C});
-  if (config_.tie_embeddings) {
-    return core::MatMul(flat, core::Transpose2D(tok_emb_.weight()));
-  }
-  return head_->Forward(flat);
+  return Unembed(h);
 }
 
 core::Variable GPTModel::ForwardFromLayer(const core::Variable& h,
@@ -165,21 +160,21 @@ core::Variable GPTModel::ForwardFromLayer(const core::Variable& h,
   LLM_CHECK_GE(start_layer, 0);
   LLM_CHECK_LE(start_layer, config_.n_layer);
   LLM_CHECK_EQ(h.value().ndim(), 3);
-  const int64_t B = h.value().dim(0);
-  const int64_t T = h.value().dim(1);
-  const int64_t C = h.value().dim(2);
-  LLM_CHECK_EQ(C, config_.d_model);
+  LLM_CHECK_EQ(h.value().dim(2), config_.d_model);
   core::Variable x = h;
   for (size_t i = static_cast<size_t>(start_layer); i < blocks_.size();
        ++i) {
     x = blocks_[i]->Forward(x, /*training=*/false, nullptr);
   }
-  x = ln_final_.Forward(x);
-  core::Variable flat = core::Reshape(x, {B * T, C});
-  if (config_.tie_embeddings) {
-    return core::MatMul(flat, core::Transpose2D(tok_emb_.weight()));
-  }
-  return head_->Forward(flat);
+  return Unembed(x);
+}
+
+core::Variable GPTModel::Unembed(const core::Variable& h) const {
+  const int64_t C = config_.d_model;
+  const core::Variable flat =
+      core::Reshape(ln_final_.Forward(h), {h.numel() / C, C});
+  return config_.tie_embeddings ? core::MatMulBt(flat, tok_emb_.weight())
+                                : head_->Forward(flat);
 }
 
 core::Variable GPTModel::LmLoss(const std::vector<int64_t>& tokens,

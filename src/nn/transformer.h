@@ -138,6 +138,10 @@ class GPTModel : public Module {
   GPTModel(const GPTConfig& config, util::Rng* rng,
            std::vector<util::NormalFill>&& fills);
 
+  // Both forwards' tail: [B*T, vocab] logits from the [B, T, C] residual
+  // stream by the final LayerNorm and the head (MatMulBt when tied).
+  core::Variable Unembed(const core::Variable& h) const;
+
   GPTConfig config_;
   Embedding tok_emb_;
   core::Variable pos_emb_;  // [max_seq_len, d_model]; fixed if sinusoidal

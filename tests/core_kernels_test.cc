@@ -1,13 +1,14 @@
-// Tests for the forward row kernels (core/kernels.h) that the autograd ops
-// and the cached decode step share: the tiled GEMM against a serial loop at
-// shapes with remainders in every dimension, the LayerNorm and softmax rows
-// in place and in their serial forms, and the attention row at both strides
-// its callers use.
+// Tests for the row kernels (core/kernels.h) that the autograd ops and the
+// cached decode step share: the tiled GEMM and the lane-group X W^T against
+// serial loops at shapes with remainders in every dimension, the LayerNorm
+// and softmax rows in place and in their serial forms, and the attention
+// row at both strides its callers use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/kernels.h"
@@ -89,6 +90,68 @@ TEST(GemmKernel, EqualsSerialLoopBitForBit) {
     }
   }
   EXPECT_EQ(shapes, 150);
+}
+
+// X W^T's contract as a plain loop: every output is a fresh chain from +0,
+// ascending over the input index, with no term skipped.
+std::vector<float> SerialGemmBt(const std::vector<float>& x,
+                                const std::vector<float>& w, int64_t rows,
+                                int64_t in, int64_t out) {
+  std::vector<float> y(static_cast<size_t>(rows * out));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t o = 0; o < out; ++o) {
+      float acc = 0.0f;
+      for (int64_t i = 0; i < in; ++i) {
+        acc += x[static_cast<size_t>(r * in + i)] *
+               w[static_cast<size_t>(o * in + i)];
+      }
+      y[static_cast<size_t>(r * out + o)] = acc;
+    }
+  }
+  return y;
+}
+
+// Rows 1 and 9 and 17 end on a lone row, 2 and 7 are one partial group, 8
+// and 16 whole groups. Each output row lands in its own slot of a pool, the
+// rows in reverse order with guard floats around every slot, as the decode
+// step writes each lane's logits: the kernel writes every output of each
+// row and nothing between the rows.
+TEST(GemmBtKernel, EqualsSerialLoopThroughScatteredRows) {
+  util::Rng rng(9);
+  constexpr int64_t kGuard = 3;
+  const std::vector<float> guards(kGuard,
+                                  std::numeric_limits<float>::quiet_NaN());
+  int shapes = 0;
+  for (int64_t rows : {1, 2, 7, 8, 9, 16, 17}) {
+    for (int64_t in : {1, 5, 24}) {
+      for (int64_t out : {1, 7, 33}) {
+        const std::vector<float> x = InputsWithZeros(rows, in, &rng);
+        const std::vector<float> w = Normals(out * in, &rng);
+        const std::vector<float> want = SerialGemmBt(x, w, rows, in, out);
+        const int64_t slot = kGuard + out;
+        std::vector<float> pool(static_cast<size_t>(rows * slot + kGuard),
+                                guards[0]);
+        std::vector<float*> y(static_cast<size_t>(rows));
+        for (int64_t r = 0; r < rows; ++r) {
+          y[static_cast<size_t>(r)] = pool.data() + (rows - 1 - r) * slot +
+                                      kGuard;
+        }
+        GemmBt(x.data(), w.data(), y.data(), rows, in, out);
+        std::vector<float> got;
+        for (float* row : y) got.insert(got.end(), row, row + out);
+        EXPECT_TRUE(SameBits(got, want))
+            << rows << "x" << in << " times (" << out << "x" << in << ")^T";
+        for (int64_t r = 0; r <= rows; ++r) {
+          EXPECT_EQ(std::memcmp(pool.data() + r * slot, guards.data(),
+                                kGuard * sizeof(float)),
+                    0)
+              << "guard before slot " << r << " of " << rows;
+        }
+        ++shapes;
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 63);
 }
 
 TEST(LayerNormKernel, InPlaceEqualsOutOfPlaceInTheTrainingAssociation) {

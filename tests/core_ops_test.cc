@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "core/graph.h"
@@ -56,12 +57,33 @@ TEST(OpsForward, MatMulValues) {
   EXPECT_FLOAT_EQ(c.At({1, 1}), 154.0f);
 }
 
-TEST(OpsForward, TransposeValues) {
+TEST(OpsForward, MatMulBtValues) {
   Variable a(Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6}));
-  Tensor t = Transpose2D(a).value();
-  EXPECT_EQ(t.dim(0), 3);
-  EXPECT_FLOAT_EQ(t.At({2, 1}), 6.0f);
-  EXPECT_FLOAT_EQ(t.At({0, 1}), 4.0f);
+  Variable b(Tensor::FromVector({2, 3}, {7, 8, 9, 10, 11, 12}));
+  Tensor c = MatMulBt(a, b).value();
+  ASSERT_EQ(c.shape(), (Shape{2, 2}));
+  EXPECT_FLOAT_EQ(c.At({0, 0}), 50.0f);
+  EXPECT_FLOAT_EQ(c.At({0, 1}), 68.0f);
+  EXPECT_FLOAT_EQ(c.At({1, 0}), 122.0f);
+  EXPECT_FLOAT_EQ(c.At({1, 1}), 167.0f);
+}
+
+// a b^T equals MatMul against b's transpose bit for bit: both sum each
+// output from +0 in ascending order. Nine rows run a full lane group and a
+// lone row.
+TEST(OpsForward, MatMulBtEqualsMatMulOfTheTranspose) {
+  Variable a = RandomVar({9, 5}, 3);
+  Variable b = RandomVar({7, 5}, 4);
+  Tensor bt({5, 7});
+  for (int64_t n = 0; n < 7; ++n) {
+    for (int64_t k = 0; k < 5; ++k) bt.At({k, n}) = b.value().At({n, k});
+  }
+  const Tensor want = MatMul(a, Variable(bt)).value();
+  const Tensor got = MatMulBt(a, b).value();
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.numel()) * sizeof(float)),
+            0);
 }
 
 TEST(OpsForward, SoftmaxRowsSumToOne) {
@@ -195,18 +217,26 @@ TEST(OpsGrad, ScalarOps) {
   ExpectGradMatches(f, a);
 }
 
+// M = 3 reaches only a padded lane group of the input gradient's GemmBt,
+// M = 9 a full group and a lone row.
 TEST(OpsGrad, MatMulBothSides) {
-  Variable a = RandomVar({3, 4}, 13, 0.5f);
-  Variable b = RandomVar({4, 2}, 14, 0.5f);
-  auto f = [&] { return SumAll(Mul(MatMul(a, b), MatMul(a, b))); };
-  ExpectGradMatches(f, a);
-  ExpectGradMatches(f, b);
+  for (int64_t m : {3, 9}) {
+    Variable a = RandomVar({m, 4}, 13, 0.5f);
+    Variable b = RandomVar({4, 2}, 14, 0.5f);
+    auto f = [&] { return SumAll(Mul(MatMul(a, b), MatMul(a, b))); };
+    ExpectGradMatches(f, a);
+    ExpectGradMatches(f, b);
+  }
 }
 
-TEST(OpsGrad, Transpose) {
-  Variable a = RandomVar({2, 5}, 15);
-  auto f = [&] { return SumAll(Mul(Transpose2D(a), Transpose2D(a))); };
-  ExpectGradMatches(f, a);
+TEST(OpsGrad, MatMulBtBothSides) {
+  for (int64_t m : {3, 9}) {
+    Variable a = RandomVar({m, 4}, 15, 0.5f);
+    Variable b = RandomVar({5, 4}, 16, 0.5f);
+    auto f = [&] { return SumAll(Mul(MatMulBt(a, b), MatMulBt(a, b))); };
+    ExpectGradMatches(f, a);
+    ExpectGradMatches(f, b);
+  }
 }
 
 TEST(OpsGrad, AddRowBroadcast) {

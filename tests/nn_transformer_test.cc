@@ -3,9 +3,13 @@
 // accounting, and trainability (loss decreases on a memorizable task).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/param_count.h"
 #include "nn/transformer.h"
 #include "train/optimizer.h"
+#include "util/crc32.h"
 
 namespace llm::nn {
 namespace {
@@ -98,6 +102,47 @@ TEST(GPTModelTest, TiedEmbeddingsShareWeights) {
   core::Variable loss = model.LmLoss(tokens, targets, 1, 4);
   core::Backward(loss);
   EXPECT_GT(model.token_embedding().weight().grad().MaxAbs(), 0.0f);
+}
+
+// The tied training path's bytes: the logits, the loss and every parameter
+// gradient after one LmLoss backward, on weights moved by N(0, 0.3) from
+// init (so LayerNorm gains are not all 1). The vocabulary, 301, is not a
+// multiple of eight, and B*T = 39 rows end on a partial lane group.
+TEST(GPTModelTest, TiedTrainingKeepsItsBytes) {
+  GPTConfig cfg;
+  cfg.vocab_size = 301;
+  cfg.max_seq_len = 13;
+  cfg.d_model = 24;
+  cfg.n_layer = 2;
+  cfg.n_head = 2;
+  cfg.tie_embeddings = true;
+  util::Rng rng(21);
+  GPTModel model(cfg, &rng);
+  for (auto& named : model.NamedParameters()) {
+    core::Tensor& v = named.second.mutable_value();
+    for (int64_t i = 0; i < v.numel(); ++i) {
+      v[i] += static_cast<float>(rng.Normal(0.0, 0.3));
+    }
+  }
+  const int64_t B = 3, T = 13;
+  std::vector<int64_t> tokens(static_cast<size_t>(B * T));
+  std::vector<int64_t> targets(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<int64_t>(rng.UniformInt(cfg.vocab_size));
+    targets[i] = static_cast<int64_t>(rng.UniformInt(cfg.vocab_size));
+  }
+  const auto crc_of = [](const core::Tensor& t, uint32_t crc) {
+    return util::Crc32(t.data(), static_cast<size_t>(t.numel()) * sizeof(float),
+                       crc);
+  };
+  uint32_t crc = crc_of(model.ForwardLogits(tokens, B, T).value(), 0);
+  const core::Variable loss = model.LmLoss(tokens, targets, B, T);
+  crc = crc_of(loss.value(), crc);
+  core::Backward(loss);
+  for (const auto& [name, param] : model.NamedParameters()) {
+    crc = crc_of(param.grad(), crc);
+  }
+  EXPECT_EQ(crc, 0xde6555b5u);
 }
 
 TEST(GPTModelTest, SinusoidalPositionsAreFrozen) {
