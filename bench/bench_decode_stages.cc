@@ -14,7 +14,7 @@
 //           serving model's token table at B = 1, 2, 4 and 8 rows, in
 //           ms/call: rows drawn from N(0, 1), the scale of the final
 //           LayerNorm's output, each written to its own logits buffer as
-//           the step writes each lane's. A round makes 2 calls.
+//           the step writes each lane's. A round makes 8 calls.
 //   sample  sample::SampleFromLogits at the serving vocabulary (32768) on
 //           the serving model's logits row, in us/call: the model's row
 //           after one session pass over the window, the row bench_e2e's
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
                     static_cast<int>(cfg.max_seq_len), [pass] { (*pass)(); },
                     {}});
   }
-  constexpr int kUnembedCalls = 2;
+  constexpr int kUnembedCalls = 8;
   for (const auto& [lanes, variant] : kStepWidths) {
     auto calls = std::make_shared<UnembedCalls>(model, lanes, kUnembedCalls);
     rows.push_back({"unembed", variant, "ms/call", 1e6, kUnembedCalls,
