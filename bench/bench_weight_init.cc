@@ -21,14 +21,19 @@
 //           or the server's;
 //   cold    GPTModel(ServingConfig(), Rng(3)) plus InferenceServer::Start()
 //           in a fresh child process: its CPU (user + sys) and minor
-//           faults from wait4, and the wall time from spawn to its ready
-//           byte;
+//           faults from wait4, the wall time from spawn to its ready line,
+//           and the server's share, the wall time from the built model to
+//           Start() returning, which the child reports on that line;
 //   spin    how many CPUs the host delivered in each round: a fixed
 //           integer spin timed on one thread, then split evenly over one
-//           thread per allowed CPU, in wall time; delivered CPUs are the
-//           first time over the second (the allowed count when every CPU
-//           runs, about 1 when the host runs one at a time). A fill or
-//           build on every allowed CPU is only as fast as that.
+//           thread per allowed CPU, in wall time, unplaced and `placed`
+//           (each thread first placed by FillNormal's rule,
+//           util::TeamPlacement; the two alternate which goes first);
+//           delivered CPUs are the one-thread time over the split's (the
+//           allowed count when every CPU runs, about 1 when the host runs
+//           one at a time). A fill or build on every allowed CPU is only
+//           as fast as that; the placed split is what FillNormal's team
+//           gets.
 // The draws, kernel, check and claim rows run on the calling thread and
 // are timed in thread CPU time.
 //
@@ -68,6 +73,7 @@
 #include "util/rng.h"
 #ifndef BENCH_INIT_CHILD_ONLY
 #include "util/normal_kernel.h"
+#include "util/team_placement.h"
 #endif
 
 extern char** environ;
@@ -116,9 +122,13 @@ int RunChild(const std::string& mode) {
   if (mode == "cold") {
     Rng rng(3);
     llm::nn::GPTModel model(llm::serve::ServingConfig(), &rng);
+    const double wall0 = NowNs(CLOCK_MONOTONIC);
     llm::serve::InferenceServer server(&model, ServerConfig());
     server.Start();
-    return write(STDOUT_FILENO, "1", 1) == 1 ? 0 : 1;
+    char line[32];
+    const int n = std::snprintf(line, sizeof(line), "%.4f\n",
+                                (NowNs(CLOCK_MONOTONIC) - wall0) / 1e6);
+    return write(STDOUT_FILENO, line, static_cast<size_t>(n)) == n ? 0 : 1;
   }
   if (mode == "model") {
     rusage before{}, after{};
@@ -226,7 +236,7 @@ struct Contestant {
   std::string sha;
   std::vector<double> fill[4];  // one CPU cpu/wall, all CPUs cpu/wall
   std::vector<double> model[3];  // wall ms, cpu ms, minor faults
-  std::vector<double> cold_cpu_ms, cold_wall_ms, cold_faults;
+  std::vector<double> cold_cpu_ms, cold_wall_ms, cold_faults, cold_server_ms;
   int failures = 0;
 
   void Round() {
@@ -247,11 +257,15 @@ struct Contestant {
     }
     for (int i = 0; i < 3; ++i) model[i].push_back(v[i]);
     const ChildRun cold = Spawn(binary, "cold");
-    failures += !cold.ok;
-    cold_cpu_ms.push_back(cold.ok ? cold.cpu_ms : kFailed);
-    cold_wall_ms.push_back(cold.ok ? cold.wall_ms : kFailed);
+    double server_ms = kFailed;
+    const bool cold_ok =
+        cold.ok && std::sscanf(cold.out.c_str(), "%lf", &server_ms) == 1;
+    failures += !cold_ok;
+    cold_cpu_ms.push_back(cold_ok ? cold.cpu_ms : kFailed);
+    cold_wall_ms.push_back(cold_ok ? cold.wall_ms : kFailed);
     cold_faults.push_back(
-        cold.ok ? static_cast<double>(cold.minor_faults) : kFailed);
+        cold_ok ? static_cast<double>(cold.minor_faults) : kFailed);
+    cold_server_ms.push_back(cold_ok ? server_ms : kFailed);
   }
 };
 
@@ -344,23 +358,40 @@ uint64_t Spin(uint64_t seed, uint64_t parts) {
   return x;
 }
 
-// The spin's wall time in ms on one thread, then split over `threads`.
-void SpinRound(size_t threads, std::vector<double>* one_ms,
-               std::vector<double>* all_ms) {
-  double t = NowNs(CLOCK_MONOTONIC);
-  g_sink = g_sink + Spin(1, 1);
-  one_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+// The spin split over `threads` new threads, in ms of wall time; with
+// `placed`, thread i first calls TeamPlacement::Place(i), as member i of a
+// FillNormal team does, so the last one starts on the waiting caller's CPU.
+double SplitSpinMs(size_t threads, bool placed) {
   std::vector<uint64_t> sinks(threads);
-  t = NowNs(CLOCK_MONOTONIC);
+  const double t = NowNs(CLOCK_MONOTONIC);
   {
+    const llm::util::TeamPlacement placement;
     std::vector<std::jthread> team;
     for (size_t i = 0; i < threads; ++i) {
-      team.emplace_back(
-          [&sinks, i, threads] { sinks[i] = Spin(i + 2, threads); });
+      team.emplace_back([&sinks, &placement, i, threads, placed] {
+        if (placed) placement.Place(i);
+        sinks[i] = Spin(i + 2, threads);
+      });
     }
   }
-  all_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  const double ms = (NowNs(CLOCK_MONOTONIC) - t) / 1e6;
   for (const uint64_t v : sinks) g_sink = g_sink + v;
+  return ms;
+}
+
+// The spin's wall time in ms on one thread, then split over `threads`,
+// unplaced and placed, the one of the two that goes first alternating with
+// the round.
+void SpinRound(size_t threads, int round, std::vector<double>* one_ms,
+               std::vector<double>* all_ms, std::vector<double>* placed_ms) {
+  const double t = NowNs(CLOCK_MONOTONIC);
+  g_sink = g_sink + Spin(1, 1);
+  one_ms->push_back((NowNs(CLOCK_MONOTONIC) - t) / 1e6);
+  const bool placed_first = round % 2 != 0;
+  const double first = SplitSpinMs(threads, placed_first);
+  const double second = SplitSpinMs(threads, !placed_first);
+  all_ms->push_back(placed_first ? second : first);
+  placed_ms->push_back(placed_first ? first : second);
 }
 
 // One round of every stage row, each timed once: `add` records the ns a
@@ -436,6 +467,8 @@ void PrintContestant(FILE* out, const Contestant& c) {
   PrintQuartiles(out, "wall_ms", Summarize(c.cold_wall_ms));
   std::fputc(',', out);
   PrintQuartiles(out, "minor_faults", Summarize(c.cold_faults));
+  std::fputc(',', out);
+  PrintQuartiles(out, "server_ms", Summarize(c.cold_server_ms));
   std::fprintf(out, "}}");
 }
 
@@ -503,11 +536,13 @@ int main(int argc, char** argv) {
   }
   const cpu_set_t allowed = AllowedSet();
   std::vector<Stage> stages;
-  std::vector<double> spin_one_ms, spin_all_ms, delivered;
+  std::vector<double> spin_one_ms, spin_all_ms, spin_placed_ms;
+  std::vector<double> delivered, placed_delivered;
   for (int r = 0; r < kRounds; ++r) {
-    SpinRound(static_cast<size_t>(CPU_COUNT(&allowed)), &spin_one_ms,
-              &spin_all_ms);
+    SpinRound(static_cast<size_t>(CPU_COUNT(&allowed)), r, &spin_one_ms,
+              &spin_all_ms, &spin_placed_ms);
     delivered.push_back(spin_one_ms.back() / spin_all_ms.back());
+    placed_delivered.push_back(spin_one_ms.back() / spin_placed_ms.back());
     StageRound(&stages, static_cast<uint64_t>(r));
     for (size_t k = 0; k < sides.size(); ++k) {
       sides[(k + static_cast<size_t>(r)) % sides.size()].Round();
@@ -534,17 +569,26 @@ int main(int argc, char** argv) {
     PrintQuartiles(out, "value", Summarize(s.values));
     std::fputc('}', out);
   }
+  const auto by_round = [out](const char* key, const std::vector<double>& v) {
+    std::fprintf(out, ",\"%s\":[", key);
+    for (size_t i = 0; i < v.size(); ++i) {
+      std::fprintf(out, "%s%.2f", i > 0 ? "," : "", v[i]);
+    }
+    std::fputc(']', out);
+  };
   std::fprintf(out, "],\"spin\":{");
   PrintQuartiles(out, "one_thread_ms", Summarize(spin_one_ms));
   std::fputc(',', out);
   PrintQuartiles(out, "all_cpus_ms", Summarize(spin_all_ms));
   std::fputc(',', out);
   PrintQuartiles(out, "delivered_cpus", Summarize(delivered));
-  std::fprintf(out, ",\"delivered_cpus_by_round\":[");
-  for (size_t i = 0; i < delivered.size(); ++i) {
-    std::fprintf(out, "%s%.2f", i > 0 ? "," : "", delivered[i]);
-  }
-  std::fprintf(out, "]},\"build\":");
+  by_round("delivered_cpus_by_round", delivered);
+  std::fprintf(out, ",\"placed\":{");
+  PrintQuartiles(out, "all_cpus_ms", Summarize(spin_placed_ms));
+  std::fputc(',', out);
+  PrintQuartiles(out, "delivered_cpus", Summarize(placed_delivered));
+  by_round("delivered_cpus_by_round", placed_delivered);
+  std::fprintf(out, "}},\"build\":");
   PrintContestant(out, sides[0]);
   if (sides.size() > 1) {
     std::fprintf(out, ",\"against\":");
@@ -561,6 +605,9 @@ int main(int argc, char** argv) {
     PrintWins(out, "cold_cpu", sides[0].cold_cpu_ms, sides[1].cold_cpu_ms);
     std::fputc(',', out);
     PrintWins(out, "cold_wall", sides[0].cold_wall_ms, sides[1].cold_wall_ms);
+    std::fputc(',', out);
+    PrintWins(out, "cold_server", sides[0].cold_server_ms,
+              sides[1].cold_server_ms);
     std::fputc('}', out);
   }
   std::fprintf(out, "}\n");
@@ -572,8 +619,12 @@ int main(int argc, char** argv) {
                 s.stage.c_str(), s.variant.c_str(), q.median, q.q1, q.q3);
   }
   const Quartiles cpus = Summarize(delivered);
-  std::printf("spin: %.2f CPUs delivered of %d (q1 %.2f, q3 %.2f)\n",
-              cpus.median, CPU_COUNT(&allowed), cpus.q1, cpus.q3);
+  const Quartiles placed_cpus = Summarize(placed_delivered);
+  std::printf(
+      "spin: %.2f CPUs delivered of %d (q1 %.2f, q3 %.2f); placed %.2f (q1 "
+      "%.2f, q3 %.2f)\n",
+      cpus.median, CPU_COUNT(&allowed), cpus.q1, cpus.q3, placed_cpus.median,
+      placed_cpus.q1, placed_cpus.q3);
   for (const Contestant& c : sides) {
     const Quartiles one = Summarize(c.fill[0]), all = Summarize(c.fill[3]);
     const Quartiles model_wall = Summarize(c.model[0]);
@@ -582,14 +633,16 @@ int main(int argc, char** argv) {
     const Quartiles cpu = Summarize(c.cold_cpu_ms);
     const Quartiles wall = Summarize(c.cold_wall_ms);
     const Quartiles faults = Summarize(c.cold_faults);
+    const Quartiles server = Summarize(c.cold_server_ms);
     std::printf(
         "%s: fill %.3f ns/pair on one CPU, %.3f wall on all; model %.1f ms "
         "wall (q1 %.1f, q3 %.1f), %.1f ms CPU, %.0f faults; cold set-up "
-        "%.1f ms CPU (q1 %.1f, q3 %.1f), %.1f ms wall, %.0f faults; %d "
-        "failed children\n",
+        "%.1f ms CPU (q1 %.1f, q3 %.1f), %.1f ms wall, %.0f faults, server "
+        "%.2f ms (q1 %.2f, q3 %.2f); %d failed children\n",
         c.sha.c_str(), one.median, all.median, model_wall.median,
         model_wall.q1, model_wall.q3, model_cpu.median, model_faults.median,
-        cpu.median, cpu.q1, cpu.q3, wall.median, faults.median, c.failures);
+        cpu.median, cpu.q1, cpu.q3, wall.median, faults.median, server.median,
+        server.q1, server.q3, c.failures);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return checked ? 0 : 1;

@@ -40,8 +40,8 @@ BatchScheduler::BatchScheduler(const nn::GPTModel* model, KvCachePool* pool)
   LLM_CHECK(model != nullptr);
   LLM_CHECK(pool != nullptr);
   seqs_.resize(static_cast<size_t>(pool->num_slots()));
-  logits_.resize(static_cast<size_t>(pool->num_slots()) *
-                 static_cast<size_t>(model->config().vocab_size));
+  logits_ = ZeroedFloats(static_cast<size_t>(pool->num_slots()) *
+                         static_cast<size_t>(model->config().vocab_size));
   active_idx_.reserve(static_cast<size_t>(pool->num_slots()));
 }
 

@@ -45,6 +45,7 @@
 #include "serve/request.h"
 #include "serve/tenant.h"
 #include "serve/worker_pool.h"
+#include "serve/zeroed_floats.h"
 #include "util/rng.h"
 
 namespace llm::serve {
@@ -165,7 +166,7 @@ class BatchScheduler {
   const nn::GPTModel* model_;
   KvCachePool* pool_;
   std::vector<ActiveSeq> seqs_;       // indexed by KV slot
-  std::vector<float> logits_;        // [num_slots, vocab]
+  ZeroedFloats logits_;              // [num_slots, vocab]
   std::vector<int64_t> active_idx_;  // slots stepped this tick (reused)
   std::vector<std::vector<nn::SeqStepInput>> chunk_inputs_;  // per chunk
   std::atomic<int64_t> active_count_{0};

@@ -54,7 +54,8 @@
 namespace llm::serve {
 
 struct ServerOptions {
-  /// Maximum in-flight sequences == KV cache slots pre-allocated.
+  /// Maximum in-flight sequences == KV cache slots reserved; faulted in on
+  /// first use.
   int64_t max_batch_size = 8;
   /// Worker threads for the batched forward pass. 0 runs the forward
   /// inline on the scheduler thread — the right choice on a single-core

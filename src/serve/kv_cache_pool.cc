@@ -7,9 +7,8 @@ KvCachePool::KvCachePool(const nn::GPTConfig& config, int64_t num_slots)
   LLM_CHECK_GT(num_slots, 0);
   LLM_CHECK_GT(config.max_seq_len, 0);
   const int64_t plane = config.max_seq_len * config.d_model;
-  slab_.assign(
-      static_cast<size_t>(num_slots_) * n_layer_ * 2 * static_cast<size_t>(plane),
-      0.0f);
+  slab_ = ZeroedFloats(static_cast<size_t>(num_slots_) * n_layer_ * 2 *
+                       static_cast<size_t>(plane));
   views_.resize(static_cast<size_t>(num_slots_) * n_layer_);
   for (int64_t s = 0; s < num_slots_; ++s) {
     float* base = slab_.data() +

@@ -1,9 +1,11 @@
-// Pre-allocated pool of per-sequence KV cache slots.
+// Reserved pool of per-sequence KV cache slots; faulted in on first use.
 //
-// All K/V storage for all slots is one contiguous slab allocated at
+// All K/V storage for all slots is one contiguous slab reserved at
 // construction and sized for the model window, so admitting a request is a
 // free-list pop and retiring it is a push — the steady-state serving loop
-// never touches the allocator, however many requests flow through.
+// never touches the allocator, however many requests flow through. The
+// slab starts all +0.0 without being written (ZeroedFloats): each page is
+// faulted in, zeroed by the kernel, when a lane first writes it.
 //
 // Slot layout: per slot, n_layer x {keys, values} planes of
 // [max_seq_len, d_model] rows, read through nn::KvLayerView. A leased
@@ -25,6 +27,7 @@
 
 #include "nn/batched_decode.h"
 #include "nn/transformer.h"
+#include "serve/zeroed_floats.h"
 
 namespace llm::serve {
 
@@ -61,7 +64,7 @@ class KvCachePool {
  private:
   const int64_t num_slots_;
   const int n_layer_;
-  std::vector<float> slab_;
+  ZeroedFloats slab_;
   std::vector<nn::KvLayerView> views_;  // [num_slots, n_layer]
   std::vector<int64_t> free_list_;
   std::vector<char> leased_;

@@ -1,8 +1,9 @@
 // The serving model's shape, in one place: bench_serving, bench_tenants,
-// bench_weight_init and core_tensor_test's ServingModelWeightsKeepTheirBytes
-// build it. bench/e2e/bench_e2e.cc keeps a copy of its own, because the
-// end-to-end benchmark's sources change only with that benchmark; the two
-// must stay equal, and the test pins the weights this one builds.
+// bench_weight_init, serve_test's reserved-buffer test and
+// core_tensor_test's ServingModelWeightsKeepTheirBytes build it.
+// bench/e2e/bench_e2e.cc keeps a copy of its own, because the end-to-end
+// benchmark's sources change only with that benchmark; the two must stay
+// equal, and the test pins the weights this one builds.
 #ifndef TFMR_SERVE_SERVING_MODEL_H_
 #define TFMR_SERVE_SERVING_MODEL_H_
 

@@ -1,9 +1,12 @@
 #include "serve/worker_pool.h"
 
+#include "util/check.h"
+
 namespace llm::serve {
 
 WorkerPool::WorkerPool(int num_threads)
     : lanes_(num_threads > 0 ? num_threads : 1) {
+  LLM_CHECK_GE(num_threads, 0);
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this, i] { WorkerMain(i); });

@@ -23,7 +23,8 @@ namespace llm::serve {
 
 class WorkerPool {
  public:
-  /// Spawns `num_threads` workers; 0 means run everything inline.
+  /// Spawns `num_threads` workers; 0 means run everything inline, and a
+  /// negative count is a checked error.
   explicit WorkerPool(int num_threads);
   ~WorkerPool();
 

@@ -1,16 +1,17 @@
 #include "util/rng.h"
 
-#include <sched.h>
 #include <sys/mman.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 #include <system_error>
 #include <thread>
 
 #include "util/huge_pages.h"
 #include "util/normal_kernel.h"
+#include "util/team_placement.h"
 
 namespace llm::util {
 
@@ -37,15 +38,6 @@ void BoxMuller(uint64_t a, uint64_t b, double* z0, double* z1) {
   const double theta = 2.0 * M_PI * u2;
   *z0 = r * std::cos(theta);
   *z1 = r * std::sin(theta);
-}
-
-size_t AllowedCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
-    return static_cast<size_t>(CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 using normal_kernel::kChunkPairs;
@@ -187,8 +179,11 @@ double Rng::Normal() {
 // kChunkPairs pairs into it. Claims are taken from one atomic counter by
 // the caller and by one worker per further allowed CPU, up to one a claim,
 // so a stalled thread delays only the claim it holds. Each worker first
-// faults in its share of the huge pages, page-disjoint from every other
-// member's; the caller meanwhile publishes every chunk's start in stream
+// moves itself to its own allowed CPU, away from the caller's, and takes
+// back the caller's mask (TeamPlacement), so that a host which starts every
+// new thread on one CPU still runs the team side by side; it then faults
+// in its share of the huge pages, page-disjoint from every other
+// member's. The caller meanwhile publishes every chunk's start in stream
 // order, reaching the next by JumpChunk (a walk of the last partial chunk
 // of each run), writes each head and draws each tail, and then faults in
 // the last share, which the claims reach last, before it joins the
@@ -226,8 +221,9 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
     page_count += whole.count;
   }
 
-  const size_t team =
-      run_pairs > kLanes * kChunkPairs ? std::min(AllowedCpus(), claims) : 1;
+  std::optional<TeamPlacement> placement;
+  if (run_pairs > kLanes * kChunkPairs) placement.emplace();
+  const size_t team = placement ? std::min(placement->size(), claims) : 1;
   const normal_kernel::Claim fill = normal_kernel::InUse().claim;
   std::vector<std::array<uint64_t, 4>> starts(chunks);
   std::atomic<size_t> published{0};  // starts[0, published) are final
@@ -274,7 +270,8 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
   workers.reserve(team - 1);
   for (size_t m = 0; m + 1 < team; ++m) {
     try {
-      workers.emplace_back([&populate, &claim, m] {
+      workers.emplace_back([&placement, &populate, &claim, m] {
+        placement->Place(m);
         populate(m);
         claim();
       });

@@ -69,9 +69,11 @@ class Rng {
   /// each output's stream is split into chunks, drawn eight at a time side
   /// by side, and a span of more than eight chunks' pairs shares them with
   /// up to one thread per further CPU in the caller's affinity mask, each
-  /// of which first faults in its own share of the whole 2 MiB pages inside
-  /// the outputs; the values never depend on the thread count or on timing.
-  /// Outputs must not overlap.
+  /// of which first moves to its own CPU of that mask, then faults in its
+  /// own share of the whole 2 MiB pages inside the outputs; the values
+  /// never depend on the thread count, on placement or on timing. The
+  /// caller's own affinity mask is left as it was. Outputs must not
+  /// overlap.
   void FillNormal(std::span<const NormalFill> fills);
 
   /// The one-output FillNormal: what `n` successive

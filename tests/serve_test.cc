@@ -9,9 +9,14 @@
 // the TSan preset can run the suite in isolation.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -23,6 +28,7 @@
 #include "serve/inference_server.h"
 #include "serve/kv_cache_pool.h"
 #include "serve/request_queue.h"
+#include "serve/serving_model.h"
 #include "serve/worker_pool.h"
 #include "util/fault.h"
 
@@ -117,6 +123,62 @@ TEST(KvCachePoolTest, LeasesAllSlotsThenExhausts) {
   EXPECT_EQ(pool.Acquire(), slots[1]);  // recycled, not reallocated
 }
 
+// Minor page faults the calling thread has taken so far.
+long ThreadMinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+// The serving shape's KV slab (8 slots, window 48, d_model 256, 2 layers:
+// 1.5 MiB) and the scheduler's [slots, vocab] logits over 32768 tokens
+// (1 MiB) are reserved, not written: each constructor faults in fewer than
+// a quarter of its buffer's pages, because the kernel zeroes a page only
+// when a lane first touches it, and every float of a slot never leased
+// reads +0.0. A sanitizer's allocator may write a calloc'd block itself,
+// so the fault counts are checked only in builds without one.
+TEST(KvCachePoolTest, ServingBuffersAreReservedNotWritten) {
+  const nn::GPTConfig cfg = ServingConfig();
+  util::Rng rng(3);
+  const nn::GPTModel model(cfg, &rng);
+  constexpr int64_t kSlots = 8;
+  const long page = sysconf(_SC_PAGESIZE);
+
+  long faults = ThreadMinorFaults();
+  KvCachePool pool(cfg, kSlots);
+  const long pool_faults = ThreadMinorFaults() - faults;
+  faults = ThreadMinorFaults();
+  BatchScheduler scheduler(&model, &pool);
+  const long scheduler_faults = ThreadMinorFaults() - faults;
+
+  const long slab_pages = static_cast<long>(pool.bytes()) / page;
+  const long logits_pages =
+      static_cast<long>(kSlots * cfg.vocab_size * sizeof(float)) / page;
+  std::printf("[reserved-buffers] slab %ld pages, %ld faults; logits %ld "
+              "pages, %ld faults\n",
+              slab_pages, pool_faults, logits_pages, scheduler_faults);
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+  EXPECT_LT(pool_faults, slab_pages / 4);
+  EXPECT_LT(scheduler_faults, logits_pages / 4);
+#endif
+
+  const size_t plane = static_cast<size_t>(cfg.max_seq_len * cfg.d_model);
+  size_t nonzero = 0;
+  for (int64_t slot = 0; slot < kSlots; ++slot) {
+    const nn::KvLayerView* views = pool.slot_views(slot);
+    for (int l = 0; l < cfg.n_layer; ++l) {
+      for (const float* rows : {views[l].keys, views[l].values}) {
+        for (size_t i = 0; i < plane; ++i) {
+          uint32_t bits = 0;
+          std::memcpy(&bits, rows + i, sizeof(bits));
+          nonzero += bits != 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(nonzero, 0u) << "floats of never-leased slots that are not +0.0";
+}
+
 // --- WorkerPool ------------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
@@ -132,6 +194,13 @@ TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
+}
+
+// A negative count is rejected by a check, not by std::vector::reserve's
+// length_error, so ServerOptions::num_workers = -1 cannot escape the
+// server's constructor as an exception.
+TEST(WorkerPoolDeathTest, RejectsANegativeThreadCount) {
+  EXPECT_DEATH({ WorkerPool pool(-1); }, "num_threads >= 0");
 }
 
 TEST(WorkerPoolTest, BackToBackRunsAreIsolated) {

@@ -631,37 +631,55 @@ TEST(RngTest, FillNormalRoundsFloatMidpointsLikeNormal) {
 }
 
 // Runs `body` with the calling thread's affinity narrowed to its first
-// allowed CPU, where a fill runs on the caller alone, and restores it.
+// `count` allowed CPUs (all of them if it has fewer), where a fill's team
+// is at most `count` threads, and restores it.
 template <typename Body>
-void OnOneCpu(Body body) {
-  cpu_set_t all, one;
+void OnCpus(int count, Body body) {
+  cpu_set_t all, some;
   ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
-  CPU_ZERO(&one);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+  CPU_ZERO(&some);
+  for (int cpu = 0, taken = 0; cpu < CPU_SETSIZE && taken < count; ++cpu) {
     if (CPU_ISSET(cpu, &all)) {
-      CPU_SET(cpu, &one);
-      break;
+      CPU_SET(cpu, &some);
+      ++taken;
     }
   }
-  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(some), &some), 0);
   body();
   ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
 }
 
-// The fill takes its thread count from the caller's CPU affinity; one
-// allowed CPU means the caller claims alone, and must give the same bytes.
-// 8 * kFillNormalChunk + 7 is 9 chunks ending in a partial one: a claim of
-// 8 lanes and one of 1, which two allowed CPUs take on two threads.
+// FillNormal into `out` that must leave the calling thread's affinity mask
+// exactly as it found it: the team's members place themselves, never the
+// caller.
+void FillKeepingMask(Rng* rng, std::vector<float>* out) {
+  cpu_set_t before, after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  rng->FillNormal(out->data(), out->size(), 0.5, 0.02);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+}
+
+// The fill takes its thread count from the caller's CPU affinity and
+// places each worker on its own allowed CPU; one allowed CPU means the
+// caller claims alone. On all CPUs, on two and on one it must give the
+// same bytes and leave the same generator. 8 * kFillNormalChunk + 7 is 9
+// chunks ending in a partial one: a claim of 8 lanes and one of 1, which
+// two allowed CPUs take on two threads.
 TEST(RngTest, FillNormalDoesNotDependOnThreadCount) {
   for (size_t n : {40 * Rng::kFillNormalChunk + 5,
                     8 * Rng::kFillNormalChunk + 7}) {
     SCOPED_TRACE(n);
-    std::vector<float> wide(n), narrow(n);
-    Rng a(77), b(77);
-    a.FillNormal(wide.data(), n, 0.5, 0.02);
-    OnOneCpu([&] { b.FillNormal(narrow.data(), n, 0.5, 0.02); });
+    std::vector<float> wide(n), two(n), narrow(n);
+    Rng a(77), b(77), c(77);
+    FillKeepingMask(&a, &wide);
+    OnCpus(2, [&] { FillKeepingMask(&b, &two); });
+    OnCpus(1, [&] { c.FillNormal(narrow.data(), n, 0.5, 0.02); });
+    EXPECT_EQ(std::memcmp(wide.data(), two.data(), n * sizeof(float)), 0);
     EXPECT_EQ(std::memcmp(wide.data(), narrow.data(), n * sizeof(float)), 0);
-    EXPECT_EQ(a.NextU64(), b.NextU64());
+    Rng a_copy = a;
+    ExpectSameGenerator(&a, &b);
+    ExpectSameGenerator(&a_copy, &c);
   }
 }
 
@@ -724,7 +742,7 @@ TEST(RngTest, SpanFillEqualsEachOutputsFillInOrder) {
   for (const auto& sizes : spans) {
     for (bool cached : {false, true}) {
       ExpectSpanMatchesEachInOrder(sizes, cached);
-      OnOneCpu([&] { ExpectSpanMatchesEachInOrder(sizes, cached); });
+      OnCpus(1, [&] { ExpectSpanMatchesEachInOrder(sizes, cached); });
     }
   }
 }
