@@ -25,15 +25,16 @@
 //           and the server's share, the wall time from the built model to
 //           Start() returning, which the child reports on that line;
 //   spin    how many CPUs the host delivered in each round: a fixed
-//           integer spin timed on one thread, then split evenly over one
-//           thread per allowed CPU, in wall time, unplaced and `placed`
-//           (each thread first placed by FillNormal's rule,
-//           util::TeamPlacement; the two alternate which goes first);
-//           delivered CPUs are the one-thread time over the split's (the
-//           allowed count when every CPU runs, about 1 when the host runs
-//           one at a time). A fill or build on every allowed CPU is only
-//           as fast as that; the placed split is what FillNormal's team
-//           gets.
+//           integer spin timed on one thread, then split evenly into one
+//           share per allowed CPU, in wall time, unplaced (a new thread a
+//           share, the caller waiting) and `placed` (one Run on a
+//           util::WorkerPool of that many lanes, as FillNormal's team is:
+//           the caller spins a share beside lanes that each first place
+//           themselves; the two alternate which goes first); delivered
+//           CPUs are the one-thread time over the split's (the allowed
+//           count when every CPU runs, about 1 when the host runs one at
+//           a time). A fill or build on every allowed CPU is only as fast
+//           as that; the placed split is what FillNormal's team gets.
 // The draws, kernel, check and claim rows run on the calling thread and
 // are timed in thread CPU time.
 //
@@ -73,7 +74,7 @@
 #include "util/rng.h"
 #ifndef BENCH_INIT_CHILD_ONLY
 #include "util/normal_kernel.h"
-#include "util/team_placement.h"
+#include "util/worker_pool.h"
 #endif
 
 extern char** environ;
@@ -87,7 +88,8 @@ using llm::bench::Quartiles;
 using llm::bench::Summarize;
 using llm::util::Rng;
 
-// bench_e2e's server: 8 slots, one worker, a 64-deep queue.
+// bench_e2e's server: 8 slots, one lane (the tick runs on the scheduler
+// thread), a 64-deep queue.
 llm::serve::ServerOptions ServerConfig() {
   llm::serve::ServerOptions options;
   options.max_batch_size = 8;
@@ -358,21 +360,22 @@ uint64_t Spin(uint64_t seed, uint64_t parts) {
   return x;
 }
 
-// The spin split over `threads` new threads, in ms of wall time; with
-// `placed`, thread i first calls TeamPlacement::Place(i), as member i of a
-// FillNormal team does, so the last one starts on the waiting caller's CPU.
+// The spin split into `threads` shares, in ms of wall time: on as many new
+// threads while the caller waits, or, `placed`, as one Run on a pool of
+// that many lanes, which starts and places one thread fewer.
 double SplitSpinMs(size_t threads, bool placed) {
   std::vector<uint64_t> sinks(threads);
+  const auto share = [&sinks, threads](size_t i) {
+    sinks[i] = Spin(i + 2, threads);
+  };
   const double t = NowNs(CLOCK_MONOTONIC);
-  {
-    const llm::util::TeamPlacement placement;
+  if (placed) {
+    llm::util::WorkerPool pool(static_cast<int>(threads));
+    pool.Run(static_cast<int64_t>(threads),
+             [&share](int64_t i, int) { share(static_cast<size_t>(i)); });
+  } else {
     std::vector<std::jthread> team;
-    for (size_t i = 0; i < threads; ++i) {
-      team.emplace_back([&sinks, &placement, i, threads, placed] {
-        if (placed) placement.Place(i);
-        sinks[i] = Spin(i + 2, threads);
-      });
-    }
+    for (size_t i = 0; i < threads; ++i) team.emplace_back(share, i);
   }
   const double ms = (NowNs(CLOCK_MONOTONIC) - t) / 1e6;
   for (const uint64_t v : sinks) g_sink = g_sink + v;

@@ -169,7 +169,7 @@ int64_t BatchScheduler::ReclaimLeakedSlots() {
   return repaired;
 }
 
-void BatchScheduler::Tick(WorkerPool* workers,
+void BatchScheduler::Tick(util::WorkerPool* workers,
                           std::vector<nn::BatchedScratch>* scratch,
                           TickOutput* out) {
   out->Clear();

@@ -23,14 +23,15 @@
 // kFault and an Internal status; the other lanes' outputs are untouched —
 // each lane has its own logits buffer and KV slot, so one bad request can
 // never corrupt its batch mates. Fault-injection sites (util/fault):
-// kDecodeNaN poisons one lane's logits, kWorkerStall sleeps a worker past
-// any reasonable tick budget, kSlotLeak drops a retiring slot's Release —
+// kDecodeNaN poisons one lane's logits, kWorkerStall sleeps the pool lane
+// computing a chunk (the scheduler thread itself at one lane) past any
+// reasonable tick budget, kSlotLeak drops a retiring slot's Release —
 // repaired by the ReclaimLeakedSlots() sweep.
 //
 // Single-threaded driver: all methods are called from the server's
-// scheduler thread only. Tick fans the forward pass out across the
-// WorkerPool and returns after the barrier, so worker threads never touch
-// scheduler state outside a Tick.
+// scheduler thread only. Tick fans the forward pass out across the pool's
+// lanes, the scheduler thread among them, and returns after the barrier,
+// so the pool's other threads never touch scheduler state outside a Tick.
 #ifndef TFMR_SERVE_BATCH_SCHEDULER_H_
 #define TFMR_SERVE_BATCH_SCHEDULER_H_
 
@@ -44,9 +45,9 @@
 #include "serve/kv_cache_pool.h"
 #include "serve/request.h"
 #include "serve/tenant.h"
-#include "serve/worker_pool.h"
 #include "serve/zeroed_floats.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace llm::serve {
 
@@ -125,8 +126,8 @@ class BatchScheduler {
   /// worker pool (scratch: one BatchedScratch per pool lane), samples, and
   /// retires finished sequences. Fills `out` with emissions/completions.
   /// Lanes whose logits fail the numeric-health check retire with kFault.
-  void Tick(WorkerPool* workers, std::vector<nn::BatchedScratch>* scratch,
-            TickOutput* out);
+  void Tick(util::WorkerPool* workers,
+            std::vector<nn::BatchedScratch>* scratch, TickOutput* out);
 
   /// Retires every active sequence with the given reason/status (server
   /// shutdown path).

@@ -52,6 +52,16 @@ int64_t SteadyNowNs() {
       .count();
 }
 
+// The server's arguments, checked from model_'s initializer, before pool_
+// reads the model's config and workers_ the lane count.
+const nn::GPTModel* CheckedModel(const nn::GPTModel* model,
+                                 const ServerOptions& options) {
+  LLM_CHECK(model != nullptr);
+  LLM_CHECK_GT(options.max_batch_size, 0);
+  LLM_CHECK_GE(options.num_workers, 0);
+  return model;
+}
+
 }  // namespace
 
 const char* FinishReasonName(FinishReason reason) {
@@ -79,16 +89,14 @@ const char* ServerHealthName(ServerHealth health) {
 
 InferenceServer::InferenceServer(const nn::GPTModel* model,
                                  const ServerOptions& options)
-    : model_(model),
+    : model_(CheckedModel(model, options)),
       options_(options),
       queue_(options.queue_capacity),
       pool_(model->config(), options.max_batch_size),
       scheduler_(model, &pool_),
-      workers_(options.num_workers),
+      workers_(std::max(options.num_workers, 1)),
       scratch_(static_cast<size_t>(workers_.lanes())),
       tick_hist_(obs::MetricsRegistry::Global().GetHistogram("serve.tick_ms")) {
-  LLM_CHECK(model != nullptr);
-  LLM_CHECK_GT(options.max_batch_size, 0);
   est_floor_ms_ = std::max(options.est_ms_per_step_seed, 0.0);
   if (est_floor_ms_ > 0.0) {
     // Publish the hint so Stats() (and a further reload chaining off it)

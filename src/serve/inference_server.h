@@ -9,9 +9,10 @@
 // Wiring: Submit (any thread) validates and pushes into the bounded
 // RequestQueue; one scheduler thread admits requests into free
 // KvCachePool slots and drives BatchScheduler::Tick in a loop, fanning
-// the fused forward pass across the WorkerPool; completions are published
-// through per-request condition variables and streamed tokens through the
-// request's on_token callback (invoked on the scheduler thread).
+// the fused forward pass across a util::WorkerPool whose lane 0 is the
+// scheduler thread itself; completions are published through per-request
+// condition variables and streamed tokens through the request's on_token
+// callback (invoked on the scheduler thread).
 //
 // Overloaded? Submit returns ResourceExhausted immediately — callers
 // shed or retry (SubmitWithRetry wraps the standard capped-backoff retry
@@ -48,8 +49,8 @@
 #include "serve/request.h"
 #include "serve/request_queue.h"
 #include "serve/tenant.h"
-#include "serve/worker_pool.h"
 #include "util/status.h"
+#include "util/worker_pool.h"
 
 namespace llm::serve {
 
@@ -57,10 +58,12 @@ struct ServerOptions {
   /// Maximum in-flight sequences == KV cache slots reserved; faulted in on
   /// first use.
   int64_t max_batch_size = 8;
-  /// Worker threads for the batched forward pass. 0 runs the forward
-  /// inline on the scheduler thread — the right choice on a single-core
-  /// host, where batching (not fan-out) provides the speedup. Use roughly
-  /// one worker per physical core otherwise.
+  /// Lanes for the batched forward pass: the scheduler thread is one, and
+  /// the server starts num_workers - 1 threads for the rest. 0 and 1 both
+  /// run the tick on the scheduler thread alone — the right choice on a
+  /// single-core host, where batching (not fan-out) provides the speedup.
+  /// Use roughly one lane per physical core otherwise. Negative is a
+  /// checked error.
   int num_workers = 0;
   /// Bounded admission: Submit beyond this many queued requests returns
   /// ResourceExhausted.
@@ -164,9 +167,9 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Spawns the scheduler (and worker/watchdog) threads. Requests
-  /// submitted before Start sit in the queue — useful for deterministic
-  /// tests.
+  /// Spawns the scheduler (and watchdog) threads; the pool's threads
+  /// start with the server. Requests submitted before Start sit in the
+  /// queue — useful for deterministic tests.
   void Start();
 
   /// Stops the scheduler: queued requests fail with Cancelled, in-flight
@@ -272,7 +275,7 @@ class InferenceServer {
   RequestQueue queue_;
   KvCachePool pool_;
   BatchScheduler scheduler_;
-  WorkerPool workers_;
+  util::WorkerPool workers_;
   std::vector<nn::BatchedScratch> scratch_;  // one per worker lane
   TickOutput tick_out_;
 

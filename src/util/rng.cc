@@ -5,13 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <optional>
-#include <system_error>
 #include <thread>
 
 #include "util/huge_pages.h"
 #include "util/normal_kernel.h"
-#include "util/team_placement.h"
+#include "util/worker_pool.h"
 
 namespace llm::util {
 
@@ -176,20 +174,19 @@ double Rng::Normal() {
 // claims, and the whole huge pages inside it. A claim is kLanes
 // consecutive chunks of one run (fewer at a run's end), which the in-use
 // copy fills side by side, one lane each; chunk k of a run starts k *
-// kChunkPairs pairs into it. Claims are taken from one atomic counter by
-// the caller and by one worker per further allowed CPU, up to one a claim,
-// so a stalled thread delays only the claim it holds. Each worker first
-// moves itself to its own allowed CPU, away from the caller's, and takes
-// back the caller's mask (TeamPlacement), so that a host which starts every
-// new thread on one CPU still runs the team side by side; it then faults
-// in its share of the huge pages, page-disjoint from every other
-// member's. The caller meanwhile publishes every chunk's start in stream
+// kChunkPairs pairs into it. The team is one Run on a WorkerPool of one
+// lane per allowed CPU, up to one a claim: the caller is lane 0, and the
+// pool places each other lane on its own CPU, so that a host which starts
+// every new thread on one CPU still runs the team side by side. Members
+// take claims from one atomic counter, so a stalled thread delays only the
+// claim it holds. Member m >= 1 first faults in its share of the huge
+// pages, page-disjoint from every other member's. Member 0, which Run
+// hands out first, meanwhile publishes every chunk's start in stream
 // order, reaching the next by JumpChunk (a walk of the last partial chunk
 // of each run), writes each head and draws each tail, and then faults in
-// the last share, which the claims reach last, before it joins the
-// claiming. A span of up to one claim's pairs runs on the caller alone. A
-// thread that fails to spawn just means fewer workers (its pages are left
-// to the fill): the caller alone would still fill every claim.
+// the last share, which the claims reach last, before it claims. A span
+// of up to one claim's pairs runs on the caller alone; a thread that
+// fails to start just leaves fewer lanes to split the pages and claims.
 void Rng::FillNormal(std::span<const NormalFill> fills) {
   // The last output that draws a pair holds the stream's last pair.
   bool pending = have_cached_normal_;
@@ -221,9 +218,11 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
     page_count += whole.count;
   }
 
-  std::optional<TeamPlacement> placement;
-  if (run_pairs > kLanes * kChunkPairs) placement.emplace();
-  const size_t team = placement ? std::min(placement->size(), claims) : 1;
+  WorkerPool pool(
+      run_pairs > kLanes * kChunkPairs
+          ? static_cast<int>(std::min<size_t>(AllowedCpus(), claims))
+          : 1);
+  const size_t team = static_cast<size_t>(pool.lanes());
   const normal_kernel::Claim fill = normal_kernel::InUse().claim;
   std::vector<std::array<uint64_t, 4>> starts(chunks);
   std::atomic<size_t> published{0};  // starts[0, published) are final
@@ -259,58 +258,44 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
            f.out + part.head + 2 * first * kChunkPairs, f.mean, f.stddev);
     }
   };
-  // Member m of the team faults in pages [m * P / team, (m + 1) * P / team)
-  // of the P whole huge pages; the caller is the last member.
-  const auto populate = [&](size_t m) {
-    Populate(pages, m * page_count / team, (m + 1) * page_count / team);
-  };
-  // Declared after everything the workers touch, so that it is destroyed,
-  // joining any thread still running, before they are.
-  std::vector<std::jthread> workers;
-  workers.reserve(team - 1);
-  for (size_t m = 0; m + 1 < team; ++m) {
-    try {
-      workers.emplace_back([&placement, &populate, &claim, m] {
-        placement->Place(m);
-        populate(m);
-        claim();
-      });
-    } catch (const std::system_error&) {
-      break;
-    }
-  }
-
   // The second variate of the last pair drawn: the next head's value while
   // one is pending, and at the end cached_normal, which the sequential loop
   // leaves holding it even when the cache is empty (SaveState() exposes
   // that field).
   double last_z1 = cached_normal_;
-  for (const Part& part : parts) {
-    const NormalFill& f = *part.fill;
-    if (part.head) f.out[0] = static_cast<float>(f.mean + f.stddev * last_z1);
-    const size_t run_chunks = ChunksOf(part.pairs);
-    for (size_t k = 0; k < run_chunks; ++k) {
-      std::copy(state_, state_ + 4, starts[part.first_chunk + k].begin());
-      published.store(part.first_chunk + k + 1, std::memory_order_release);
-      Advance(state_, std::min(kChunkPairs, part.pairs - k * kChunkPairs));
-    }
-    if (part.tail > 0) {
-      const uint64_t a = NextU64();
-      const uint64_t b = NextU64();
-      double z0 = 0.0;
-      BoxMuller(a, b, &z0, &last_z1);
-      float* out = f.out + part.head + 2 * part.pairs;
-      out[0] = static_cast<float>(f.mean + f.stddev * z0);
-      if (part.tail == 2) {
-        out[1] = static_cast<float>(f.mean + f.stddev * last_z1);
+  const auto publish = [&] {
+    for (const Part& part : parts) {
+      const NormalFill& f = *part.fill;
+      if (part.head) f.out[0] = static_cast<float>(f.mean + f.stddev * last_z1);
+      const size_t run_chunks = ChunksOf(part.pairs);
+      for (size_t k = 0; k < run_chunks; ++k) {
+        std::copy(state_, state_ + 4, starts[part.first_chunk + k].begin());
+        published.store(part.first_chunk + k + 1, std::memory_order_release);
+        Advance(state_, std::min(kChunkPairs, part.pairs - k * kChunkPairs));
+      }
+      if (part.tail > 0) {
+        const uint64_t a = NextU64();
+        const uint64_t b = NextU64();
+        double z0 = 0.0;
+        BoxMuller(a, b, &z0, &last_z1);
+        float* out = f.out + part.head + 2 * part.pairs;
+        out[0] = static_cast<float>(f.mean + f.stddev * z0);
+        if (part.tail == 2) {
+          out[1] = static_cast<float>(f.mean + f.stddev * last_z1);
+        }
       }
     }
-  }
+  };
+  pool.Run(static_cast<int64_t>(team), [&](int64_t m, int) {
+    if (m == 0) publish();
+    // Share s of the P whole huge pages is [s * P / team, (s + 1) * P /
+    // team): member m >= 1 faults in share m - 1, and member 0 the last.
+    const size_t s = (m == 0 ? team : static_cast<size_t>(m)) - 1;
+    Populate(pages, s * page_count / team, (s + 1) * page_count / team);
+    claim();
+  });
   have_cached_normal_ = pending;
   cached_normal_ = last_z1;
-  populate(team - 1);
-  claim();
-  for (auto& worker : workers) worker.join();
 }
 
 namespace {

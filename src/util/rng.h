@@ -67,13 +67,13 @@ class Rng {
   /// would: what successive static_cast<float>(Normal(mean, stddev)) calls
   /// write, with each output's mean and stddev. One pass over all outputs:
   /// each output's stream is split into chunks, drawn eight at a time side
-  /// by side, and a span of more than eight chunks' pairs shares them with
-  /// up to one thread per further CPU in the caller's affinity mask, each
-  /// of which first moves to its own CPU of that mask, then faults in its
-  /// own share of the whole 2 MiB pages inside the outputs; the values
-  /// never depend on the thread count, on placement or on timing. The
-  /// caller's own affinity mask is left as it was. Outputs must not
-  /// overlap.
+  /// by side, and a span of more than eight chunks' pairs shares them in
+  /// one Run on a WorkerPool of up to one lane per CPU in the caller's
+  /// affinity mask (the caller is lane 0; the pool places each other lane
+  /// on its own CPU of that mask), each member of which faults in its own
+  /// share of the whole 2 MiB pages inside the outputs; the values never
+  /// depend on the thread count, on placement or on timing. The caller's
+  /// own affinity mask is left as it was. Outputs must not overlap.
   void FillNormal(std::span<const NormalFill> fills);
 
   /// The one-output FillNormal: what `n` successive

@@ -4,7 +4,7 @@
 // scheduler returns exactly the tokens that sample::GenerateCached would
 // produce for the same prompt/options/seed on a dedicated session —
 // whatever else shares the batch. Plus unit coverage for the queue, the
-// KV pool, the worker pool, and the server's admission/cancel/deadline/
+// KV pool, and the server's arguments and admission/cancel/deadline/
 // shutdown/stats behavior. Registered under the `serve` ctest label so
 // the TSan preset can run the suite in isolation.
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@
 #include "serve/kv_cache_pool.h"
 #include "serve/request_queue.h"
 #include "serve/serving_model.h"
-#include "serve/worker_pool.h"
 #include "util/fault.h"
 
 namespace llm::serve {
@@ -179,53 +178,6 @@ TEST(KvCachePoolTest, ServingBuffersAreReservedNotWritten) {
   EXPECT_EQ(nonzero, 0u) << "floats of never-leased slots that are not +0.0";
 }
 
-// --- WorkerPool ------------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
-  for (int threads : {0, 1, 3}) {
-    WorkerPool pool(threads);
-    EXPECT_EQ(pool.lanes(), threads > 0 ? threads : 1);
-    std::vector<std::atomic<int>> hits(17);
-    for (auto& h : hits) h.store(0);
-    pool.Run(17, [&](int64_t i, int lane) {
-      EXPECT_GE(lane, 0);
-      EXPECT_LT(lane, pool.lanes());
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-// A negative count is rejected by a check, not by std::vector::reserve's
-// length_error, so ServerOptions::num_workers = -1 cannot escape the
-// server's constructor as an exception.
-TEST(WorkerPoolDeathTest, RejectsANegativeThreadCount) {
-  EXPECT_DEATH({ WorkerPool pool(-1); }, "num_threads >= 0");
-}
-
-TEST(WorkerPoolTest, BackToBackRunsAreIsolated) {
-  WorkerPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int64_t> sum{0};
-    pool.Run(round % 5, [&](int64_t i, int) { sum.fetch_add(i + 1); });
-    const int64_t n = round % 5;
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2);
-  }
-}
-
-// A worker that wakes only after Run has returned copies that Run's
-// cleared fn and old n. The next Run must not reset the claim counter
-// under it, or it calls a null or dead function.
-TEST(WorkerPoolTest, LateWakerNeverRunsAStaleFunction) {
-  WorkerPool pool(4);
-  for (int round = 0; round < 20000; ++round) {
-    const int64_t n = round % 5;
-    std::atomic<int64_t> sum{0};
-    pool.Run(n, [&](int64_t i, int) { sum.fetch_add(i + 1); });
-    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
-  }
-}
-
 // --- InferenceServer -------------------------------------------------------
 
 nn::GPTConfig SmallConfig() {
@@ -257,6 +209,23 @@ std::vector<int64_t> SingleStreamReference(const nn::GPTModel& model,
   opts.stop_token = request.stop_token;
   util::Rng rng(request.seed);
   return sample::GenerateCached(model, request.prompt, opts, &rng);
+}
+
+// The constructor checks its arguments before any member uses them: a
+// null model fails the check instead of being dereferenced by the KV pool,
+// and a negative worker count fails instead of running as one lane.
+TEST(InferenceServerDeathTest, RejectsANullModel) {
+  EXPECT_DEATH({ InferenceServer server(nullptr, ServerOptions{}); },
+               "model != nullptr");
+}
+
+TEST(InferenceServerDeathTest, RejectsANegativeWorkerCount) {
+  util::Rng rng(31);
+  const nn::GPTModel model(SmallConfig(), &rng);
+  ServerOptions options;
+  options.num_workers = -1;
+  EXPECT_DEATH({ InferenceServer server(&model, options); },
+               "num_workers >= 0");
 }
 
 TEST(InferenceServerTest, MoreRequestsThanSlotsAllMatchSingleStream) {

@@ -1,15 +1,17 @@
-// Tests for the utility substrate: Status/StatusOr, Rng, Crc32, Table,
-// linalg.
+// Tests for the utility substrate: Status/StatusOr, Rng, WorkerPool, Crc32,
+// Table, linalg.
 #include <gtest/gtest.h>
 
 #include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/table.h"
+#include "util/worker_pool.h"
 
 namespace llm::util {
 namespace {
@@ -745,6 +748,125 @@ TEST(RngTest, SpanFillEqualsEachOutputsFillInOrder) {
       OnCpus(1, [&] { ExpectSpanMatchesEachInOrder(sizes, cached); });
     }
   }
+}
+
+// --- WorkerPool ------------------------------------------------------------
+
+TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
+  for (int lanes : {1, 2, 4}) {
+    WorkerPool pool(lanes);
+    EXPECT_EQ(pool.lanes(), lanes);
+    std::vector<std::atomic<int>> hits(17);
+    for (auto& h : hits) h.store(0);
+    pool.Run(17, [&](int64_t i, int lane) {
+      EXPECT_GE(lane, 0);
+      EXPECT_LT(lane, pool.lanes());
+      hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// Zero lanes is rejected by a check, not by std::vector::reserve's
+// length_error, so no count can escape a constructor as an exception.
+TEST(WorkerPoolDeathTest, RejectsZeroLanes) {
+  EXPECT_DEATH({ WorkerPool pool(0); }, "lanes >= 1");
+}
+
+TEST(WorkerPoolTest, BackToBackRunsAreIsolated) {
+  for (int lanes : {1, 2, 4}) {
+    WorkerPool pool(lanes);
+    for (int round = 0; round < 50; ++round) {
+      std::atomic<int64_t> sum{0};
+      pool.Run(round % 5, [&](int64_t i, int) { sum.fetch_add(i + 1); });
+      const int64_t n = round % 5;
+      EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+    }
+  }
+}
+
+// A started lane that wakes only after Run has returned copies that Run's
+// cleared fn and old n. The next Run must not reset the claim counter
+// under it, or it calls a null or dead function.
+TEST(WorkerPoolTest, LateWakerNeverRunsAStaleFunction) {
+  for (int lanes : {1, 2, 4}) {
+    WorkerPool pool(lanes);
+    for (int round = 0; round < 20000; ++round) {
+      const int64_t n = round % 5;
+      std::atomic<int64_t> sum{0};
+      pool.Run(n, [&](int64_t i, int) { sum.fetch_add(i + 1); });
+      ASSERT_EQ(sum.load(), n * (n + 1) / 2)
+          << lanes << " lanes, round " << round;
+    }
+  }
+}
+
+// One Run of pool.lanes() indices in which each index waits until every
+// lane holds one, so that each lane runs exactly one; `body(lane)` runs
+// first, on that lane's thread.
+template <typename Body>
+void OnEveryLane(WorkerPool* pool, Body body) {
+  std::atomic<int> arrived{0};
+  pool->Run(pool->lanes(), [&](int64_t, int lane) {
+    body(lane);
+    arrived.fetch_add(1);
+    while (arrived.load() < pool->lanes()) std::this_thread::yield();
+  });
+}
+
+// The thread that calls Run is lane 0, every other lane is a thread of its
+// own, and with one lane the caller runs every index.
+TEST(WorkerPoolTest, LaneZeroIsTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int lanes : {1, 2, 4}) {
+    WorkerPool pool(lanes);
+    std::vector<std::thread::id> ids(static_cast<size_t>(pool.lanes()));
+    OnEveryLane(&pool, [&](int lane) {
+      ids[static_cast<size_t>(lane)] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ids[0], caller) << lanes << " lanes";
+    std::sort(ids.begin(), ids.end());
+    EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+        << lanes << " lanes";
+  }
+  WorkerPool one(1);
+  int ran = 0;
+  one.Run(17, [&](int64_t, int lane) {
+    EXPECT_EQ(lane, 0);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 17);
+}
+
+// Each started lane moves itself to its own CPU and then takes back the
+// creator's mask, so by the time it runs an index its mask equals the
+// creator's; the creator's own mask is never changed.
+void ExpectLanesKeepTheCreatorsMask() {
+  cpu_set_t creator;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(creator), &creator), 0);
+  for (int lanes : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << lanes << " lanes");
+    WorkerPool pool(lanes);
+    std::vector<int> same(static_cast<size_t>(pool.lanes()), 0);
+    OnEveryLane(&pool, [&](int lane) {
+      cpu_set_t mine;
+      same[static_cast<size_t>(lane)] =
+          sched_getaffinity(0, sizeof(mine), &mine) == 0 &&
+          CPU_EQUAL(&mine, &creator);
+    });
+    for (size_t lane = 0; lane < same.size(); ++lane) {
+      EXPECT_EQ(same[lane], 1) << "lane " << lane;
+    }
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&creator, &after));
+  }
+}
+
+TEST(WorkerPoolTest, StartedLanesTakeBackTheCreatorsMask) {
+  ExpectLanesKeepTheCreatorsMask();
+  OnCpus(2, [] { ExpectLanesKeepTheCreatorsMask(); });
 }
 
 // CRC-32 one bit at a time, straight from the polynomial.
