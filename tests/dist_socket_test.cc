@@ -28,6 +28,7 @@
 #include "train/dist/socket_transport.h"
 #include "train/dist/toy_task.h"
 #include "train/dist/wire.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 
 namespace llm::train::dist {
@@ -190,6 +191,34 @@ TEST(WireCodec, GatherRoundtripAndValidation) {
   bytes.pop_back();  // truncated stream must be rejected, not mis-split
   EXPECT_FALSE(DecodeGather(bytes).ok());
   EXPECT_FALSE(DecodeGather({0x01}).ok());
+}
+
+const std::vector<std::vector<float>> kPinnedGather = {
+    {1.5f, -2.0f}, {}, {3.25f, 1e-30f, -0.0f}};
+
+TEST_F(WirePair, FrameBytesArePinned) {
+  Frame out;
+  out.type = FrameType::kResult;
+  out.rank = -2;
+  out.status = 13;
+  out.epoch = int64_t{1} << 33;
+  out.seq = -9;
+  out.payload = EncodeGather(kPinnedGather);
+  ASSERT_TRUE(SendFrame(a_, out, In(500)).ok());
+  std::vector<uint8_t> raw(kFrameHeaderBytes + out.payload.size());
+  ASSERT_EQ(::recv(b_, raw.data(), raw.size(), MSG_WAITALL),
+            static_cast<ssize_t>(raw.size()));
+  EXPECT_EQ(raw.size(), 80u);
+  EXPECT_EQ(util::Crc32(raw.data(), raw.size()), 0x3ea3eeadu);
+}
+
+TEST(WireCodec, EveryProperGatherPrefixIsRejectedAsInternal) {
+  const std::vector<uint8_t> bytes = EncodeGather(kPinnedGather);
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + keep);
+    EXPECT_EQ(DecodeGather(prefix).status().code(), StatusCode::kInternal)
+        << "prefix of " << keep << " bytes";
+  }
 }
 
 TEST(WireBackoff, CappedExponentialWithDeterministicJitter) {

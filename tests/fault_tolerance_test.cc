@@ -9,15 +9,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/layers.h"
+#include "nn/transformer.h"
 #include "train/checkpoint.h"
 #include "train/optimizer.h"
 #include "train/trainer.h"
+#include "util/crc32.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
@@ -340,6 +343,71 @@ TEST_F(FaultToleranceTest, RejectedLoadNeverHalfMutatesTheModule) {
                                 << " mutated by a rejected load";
     ++k;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The file's bytes, its every prefix, and corrupt counts and dims.
+// ---------------------------------------------------------------------------
+
+/// Saves a small GPT with every section: weights, AdamW slots refilled
+/// from a fixed stream, an RNG holding a cached normal and a trainer
+/// history.
+std::string SavePinnedCheckpoint(const std::string& dir) {
+  nn::GPTConfig config;
+  config.vocab_size = 11;
+  config.max_seq_len = 8;
+  config.d_model = 8;
+  config.n_layer = 1;
+  config.n_head = 2;
+  util::Rng init(5);
+  nn::GPTModel model(config, &init);
+  TrainState state;
+  state.has_optimizer = true;
+  state.optimizer = AdamW(model.Parameters(), AdamWOptions{}).ExportState();
+  state.optimizer.step = 3;
+  util::Rng fill(6);
+  for (auto& [name, slot] : state.optimizer.slots) {
+    slot = core::Tensor::RandomNormal(slot.shape(), &fill);
+  }
+  fill.Normal();
+  state.has_rng = true;
+  state.rng = fill.SaveState();
+  state.has_trainer = true;
+  state.next_step = 7;
+  state.lr_scale = 0.5f;
+  state.history = {{4, 2.5f, 1e-3f, 0.75f, 0},
+                   {5, 2.25f, 1e-3f, 9.5f, 2},
+                   {6, 2.0f, 5e-4f, 0.5f, 1}};
+  const std::string path = dir + "/" + CheckpointFileName(7);
+  EXPECT_TRUE(SaveCheckpoint(model, path, &state).ok());
+  return path;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST_F(FaultToleranceTest, CheckpointBytesArePinned) {
+  ScratchDir dir("tfmr_pin");
+  const std::string bytes = FileBytes(SavePinnedCheckpoint(dir.path()));
+  EXPECT_EQ(bytes.size(), 15342u);
+  EXPECT_EQ(util::Crc32(bytes.data(), bytes.size()), 0x15c372dau);
+}
+
+TEST_F(FaultToleranceTest, EveryProperPrefixIsRejectedAsIOError) {
+  ScratchDir dir("tfmr_prefixes");
+  const std::string path = SavePinnedCheckpoint(dir.path());
+  size_t len = fs::file_size(path);
+  size_t wrong = 0;
+  while (len-- > 0) {
+    fs::resize_file(path, len);
+    const util::Status s = ValidateCheckpoint(path);
+    if (s.code() != util::StatusCode::kIOError && ++wrong <= 5) {
+      ADD_FAILURE() << "prefix of " << len << " bytes: " << s;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
 }
 
 // ---------------------------------------------------------------------------

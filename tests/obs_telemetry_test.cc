@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace llm::obs {
@@ -143,6 +144,40 @@ TEST_F(TelemetryTest, CodecRejectsTruncationAndEmpty) {
                       blob.size() - 1}) {
     auto decoded = DecodeRankTelemetry(blob.data(), keep);
     EXPECT_FALSE(decoded.ok()) << "truncated to " << keep << " accepted";
+  }
+}
+
+/// A unit with every field set: two counters, a gauge, a histogram and
+/// two events.
+RankTelemetry PinnedUnit() {
+  RankTelemetry unit = MakeUnit(/*rank=*/2, /*epoch=*/5, /*step=*/1234);
+  unit.reason = kTelemetryShipPostmortem;
+  unit.metrics.counters["dist.worker.2.steps"] = 1234;
+  unit.metrics.counters["dist.worker.2.telemetry_bytes"] = 0x1122334455ull;
+  unit.metrics.gauges["dist.worker.2.lr"] = -3.75e-4;
+  Histogram h;
+  for (double v : {0.5, 2.0, 33.0, 1e6}) h.Record(v);
+  unit.metrics.histograms["dist.worker.2.step_ms"] = h.Snapshot();
+  unit.events.push_back(MakeEvent(40, -7, FlightEventType::kWorkerJoin, -1,
+                                  int64_t{1} << 40, -2));
+  unit.events.push_back(MakeEvent(41, 9'000'000'000,
+                                  FlightEventType::kPostmortemDump, 2, 1234,
+                                  11));
+  return unit;
+}
+
+TEST_F(TelemetryTest, CodecBytesArePinned) {
+  const std::vector<uint8_t> blob = EncodeRankTelemetry(PinnedUnit());
+  EXPECT_EQ(blob.size(), 1181u);
+  EXPECT_EQ(util::Crc32(blob.data(), blob.size()), 0x2144df1cu);
+}
+
+TEST_F(TelemetryTest, EveryProperPrefixIsRejectedAsInternal) {
+  const std::vector<uint8_t> blob = EncodeRankTelemetry(PinnedUnit());
+  for (size_t keep = 0; keep < blob.size(); ++keep) {
+    EXPECT_EQ(DecodeRankTelemetry(blob.data(), keep).status().code(),
+              util::StatusCode::kInternal)
+        << "prefix of " << keep << " bytes";
   }
 }
 
