@@ -1,14 +1,9 @@
 #include "obs/telemetry.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace llm::obs {
@@ -24,98 +19,6 @@ constexpr uint16_t kTelemetryVersion = 1;
 constexpr uint32_t kMaxEntries = 1u << 20;
 constexpr uint32_t kMaxNameLen = 1u << 12;
 constexpr uint32_t kMaxBuckets = 1u << 10;
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-/// Bounds-checked little-endian reader over the decode buffer.
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
-
-  bool U16(uint16_t* v) {
-    if (pos_ + 2 > len_) return failed_ = true, false;
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > len_) return failed_ = true, false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > len_) return failed_ = true, false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool String(std::string* s) {
-    uint32_t n;
-    if (!U32(&n) || n > kMaxNameLen || pos_ + n > len_) {
-      return failed_ = true, false;
-    }
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-  bool failed() const { return failed_; }
-
- private:
-  const uint8_t* data_;
-  size_t len_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -158,45 +61,46 @@ bool GangEventBefore(const GangEvent& x, const GangEvent& y) {
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeRankTelemetry(const RankTelemetry& telemetry) {
-  std::vector<uint8_t> out;
-  PutU32(&out, kTelemetryMagic);
-  PutU16(&out, kTelemetryVersion);
-  PutU16(&out, 0);  // reserved
-  PutU32(&out, static_cast<uint32_t>(telemetry.rank));
-  PutI64(&out, telemetry.epoch);
-  PutI64(&out, telemetry.step);
-  PutU32(&out, static_cast<uint32_t>(telemetry.reason));
+  util::ByteWriter w;
+  w.Put(kTelemetryMagic);
+  w.Put(kTelemetryVersion);
+  w.Put(uint16_t{0});  // reserved
+  w.Put(telemetry.rank);
+  w.Put(telemetry.epoch);
+  w.Put(telemetry.step);
+  w.Put(telemetry.reason);
 
-  PutU32(&out, static_cast<uint32_t>(telemetry.metrics.counters.size()));
+  w.Put(static_cast<uint32_t>(telemetry.metrics.counters.size()));
   for (const auto& [name, value] : telemetry.metrics.counters) {
-    PutString(&out, name);
-    PutU64(&out, value);
+    w.String(name);
+    w.Put(value);
   }
-  PutU32(&out, static_cast<uint32_t>(telemetry.metrics.gauges.size()));
+  w.Put(static_cast<uint32_t>(telemetry.metrics.gauges.size()));
   for (const auto& [name, value] : telemetry.metrics.gauges) {
-    PutString(&out, name);
-    PutF64(&out, value);
+    w.String(name);
+    w.Put(value);
   }
-  PutU32(&out, static_cast<uint32_t>(telemetry.metrics.histograms.size()));
+  w.Put(static_cast<uint32_t>(telemetry.metrics.histograms.size()));
   for (const auto& [name, snapshot] : telemetry.metrics.histograms) {
-    PutString(&out, name);
-    PutU64(&out, snapshot.count);
-    PutF64(&out, snapshot.sum);
-    PutF64(&out, snapshot.max);
-    PutU32(&out, static_cast<uint32_t>(snapshot.buckets.size()));
-    for (const uint64_t b : snapshot.buckets) PutU64(&out, b);
+    w.String(name);
+    w.Put(snapshot.count);
+    w.Put(snapshot.sum);
+    w.Put(snapshot.max);
+    w.Put(static_cast<uint32_t>(snapshot.buckets.size()));
+    w.Bytes(snapshot.buckets.data(),
+            snapshot.buckets.size() * sizeof(uint64_t));
   }
-  PutU32(&out, static_cast<uint32_t>(telemetry.events.size()));
+  w.Put(static_cast<uint32_t>(telemetry.events.size()));
   for (const FlightEvent& event : telemetry.events) {
-    PutU64(&out, event.ticket);
-    PutI64(&out, event.ts_ns);
-    PutU32(&out, static_cast<uint32_t>(event.type));
-    PutU32(&out, static_cast<uint32_t>(event.a));
-    PutI64(&out, event.b);
-    PutI64(&out, event.c);
+    w.Put(event.ticket);
+    w.Put(event.ts_ns);
+    w.Put(static_cast<uint32_t>(event.type));
+    w.Put(event.a);
+    w.Put(event.b);
+    w.Put(event.c);
   }
-  PutU32(&out, util::Crc32(out.data(), out.size()));
-  return out;
+  w.Put(util::Crc32(w.bytes().data(), w.bytes().size()));
+  return w.Take();
 }
 
 util::StatusOr<RankTelemetry> DecodeRankTelemetry(const uint8_t* data,
@@ -207,91 +111,83 @@ util::StatusOr<RankTelemetry> DecodeRankTelemetry(const uint8_t* data,
   }
   // CRC first: everything after this can trust the bytes.
   uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(data[len - 4 + static_cast<size_t>(i)])
-                  << (8 * i);
-  }
+  util::ByteReader({data + len - 4, 4}).Get(&stored_crc);
   if (util::Crc32(data, len - 4) != stored_crc) {
     return util::Status::Internal("telemetry blob failed its CRC");
   }
 
-  Reader r(data, len - 4);
+  util::ByteReader r({data, len - 4});
   uint32_t magic = 0;
   uint16_t version = 0, reserved = 0;
   RankTelemetry t;
-  uint32_t rank = 0, reason = 0;
-  if (!r.U32(&magic) || magic != kTelemetryMagic) {
+  if (!r.Get(&magic) || magic != kTelemetryMagic) {
     return util::Status::Internal("telemetry blob has bad magic");
   }
-  if (!r.U16(&version) || version != kTelemetryVersion || !r.U16(&reserved)) {
+  if (!r.Get(&version) || version != kTelemetryVersion ||
+      !r.Get(&reserved)) {
     return util::Status::Internal("telemetry blob has unsupported version");
   }
-  if (!r.U32(&rank) || !r.I64(&t.epoch) || !r.I64(&t.step) ||
-      !r.U32(&reason)) {
+  if (!r.Get(&t.rank) || !r.Get(&t.epoch) || !r.Get(&t.step) ||
+      !r.Get(&t.reason)) {
     return util::Status::Internal("telemetry blob truncated in header");
   }
-  t.rank = static_cast<int32_t>(rank);
-  t.reason = static_cast<int32_t>(reason);
 
   uint32_t n = 0;
-  if (!r.U32(&n) || n > kMaxEntries) {
+  if (!r.Get(&n) || n > kMaxEntries) {
     return util::Status::Internal("telemetry blob has a bad counter count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     uint64_t value = 0;
-    if (!r.String(&name) || !r.U64(&value)) {
+    if (!r.String(&name, kMaxNameLen) || !r.Get(&value)) {
       return util::Status::Internal("telemetry blob truncated in counters");
     }
     t.metrics.counters[name] = value;
   }
-  if (!r.U32(&n) || n > kMaxEntries) {
+  if (!r.Get(&n) || n > kMaxEntries) {
     return util::Status::Internal("telemetry blob has a bad gauge count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     double value = 0.0;
-    if (!r.String(&name) || !r.F64(&value)) {
+    if (!r.String(&name, kMaxNameLen) || !r.Get(&value)) {
       return util::Status::Internal("telemetry blob truncated in gauges");
     }
     t.metrics.gauges[name] = value;
   }
-  if (!r.U32(&n) || n > kMaxEntries) {
+  if (!r.Get(&n) || n > kMaxEntries) {
     return util::Status::Internal("telemetry blob has a bad histogram count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     HistogramSnapshot snapshot;
     uint32_t n_buckets = 0;
-    if (!r.String(&name) || !r.U64(&snapshot.count) || !r.F64(&snapshot.sum) ||
-        !r.F64(&snapshot.max) || !r.U32(&n_buckets) ||
-        n_buckets > kMaxBuckets) {
+    if (!r.String(&name, kMaxNameLen) || !r.Get(&snapshot.count) ||
+        !r.Get(&snapshot.sum) || !r.Get(&snapshot.max) ||
+        !r.Get(&n_buckets) || n_buckets > kMaxBuckets) {
       return util::Status::Internal("telemetry blob truncated in histograms");
     }
     snapshot.buckets.resize(n_buckets);
-    for (uint32_t b = 0; b < n_buckets; ++b) {
-      if (!r.U64(&snapshot.buckets[b])) {
-        return util::Status::Internal(
-            "telemetry blob truncated in histogram buckets");
-      }
+    if (!r.Bytes(snapshot.buckets.data(), n_buckets * sizeof(uint64_t))) {
+      return util::Status::Internal(
+          "telemetry blob truncated in histogram buckets");
     }
     t.metrics.histograms[name] = std::move(snapshot);
   }
-  if (!r.U32(&n) || n > kMaxEntries) {
+  if (!r.Get(&n) || n > kMaxEntries) {
     return util::Status::Internal("telemetry blob has a bad event count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     FlightEvent event;
-    uint32_t type = 0, a = 0;
-    if (!r.U64(&event.ticket) || !r.I64(&event.ts_ns) || !r.U32(&type) ||
-        !r.U32(&a) || !r.I64(&event.b) || !r.I64(&event.c)) {
+    uint32_t type = 0;
+    if (!r.Get(&event.ticket) || !r.Get(&event.ts_ns) || !r.Get(&type) ||
+        !r.Get(&event.a) || !r.Get(&event.b) || !r.Get(&event.c)) {
       return util::Status::Internal("telemetry blob truncated in events");
     }
     event.type = static_cast<FlightEventType>(type);
-    event.a = static_cast<int32_t>(a);
     t.events.push_back(event);
   }
-  if (r.pos() != len - 4) {
+  if (r.remaining() != 0) {
     return util::Status::Internal("telemetry blob has trailing bytes");
   }
   return t;
@@ -470,60 +366,12 @@ std::string PostmortemPath(const std::string& dir, int32_t rank) {
 
 util::Status WritePostmortem(const std::string& path,
                              const RankTelemetry& telemetry) {
-  const std::vector<uint8_t> bytes = EncodeRankTelemetry(telemetry);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return util::Status::IOError("cannot open postmortem tmp " + tmp + ": " +
-                                 std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return util::Status::IOError("postmortem write failed: " +
-                                   std::string(std::strerror(err)));
-    }
-    off += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(tmp.c_str());
-    return util::Status::IOError("postmortem rename failed: " +
-                                 std::string(std::strerror(err)));
-  }
-  return util::Status::OK();
+  return util::ReplaceFile(path, EncodeRankTelemetry(telemetry));
 }
 
 util::StatusOr<RankTelemetry> ReadPostmortem(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return util::Status::NotFound("no postmortem at " + path);
-    }
-    return util::Status::IOError("cannot open postmortem " + path + ": " +
-                                 std::strerror(errno));
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[4096];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      return util::Status::IOError("postmortem read failed: " +
-                                   std::string(std::strerror(err)));
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
+  LLM_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                       util::ReadFile(path));
   auto decoded = DecodeRankTelemetry(bytes);
   if (!decoded.ok()) {
     return util::Status::Internal("postmortem " + path + " is corrupt: " +

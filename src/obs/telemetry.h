@@ -83,9 +83,9 @@ struct RankTelemetry {
 };
 
 // ---------------------------------------------------------------------------
-// Codec. Little-endian, magic + version framed, trailing CRC32 over the
-// whole body so a torn postmortem or corrupt frame payload is detected,
-// never half-trusted.
+// Codec. Little-endian (util/bytes.h), magic + version framed, trailing
+// CRC32 over the whole body so a torn postmortem or corrupt frame payload
+// is detected, never half-trusted.
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> EncodeRankTelemetry(const RankTelemetry& telemetry);
@@ -204,11 +204,11 @@ std::string PostmortemPath(const std::string& dir, int32_t rank);
 /// Atomically dumps `telemetry` to `path`: encoded bytes are written to
 /// "<path>.tmp" and renamed into place, so a reader never sees a torn
 /// file under the final name (and the trailing CRC catches a torn tmp
-/// that somehow got renamed). Uses only open/write/rename; safe from a
-/// last-gasp fatal-signal handler in the pragmatic crash-reporter sense
-/// (the encoder allocates, which strict async-signal-safety forbids, but
-/// the process is already dead either way — same trade every production
-/// crash dumper makes).
+/// that somehow got renamed). util::ReplaceFile uses only open, write,
+/// close and rename; safe from a last-gasp fatal-signal handler in the
+/// pragmatic crash-reporter sense (the encoder allocates, which strict
+/// async-signal-safety forbids, but the process is already dead either
+/// way — same trade every production crash dumper makes).
 util::Status WritePostmortem(const std::string& path,
                              const RankTelemetry& telemetry);
 

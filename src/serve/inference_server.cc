@@ -9,6 +9,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/scoped_timer.h"
+#include "util/backoff.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
@@ -349,21 +350,14 @@ util::StatusOr<RequestId> InferenceServer::SubmitWithRetry(
       return result;
     }
     if (attempt + 1 == attempts) break;
-    // Capped exponential backoff with jitter in [0.5, 1.0)x: retries from
-    // clients seeded differently decorrelate instead of re-colliding.
-    const double base_ms = std::min<double>(
-        static_cast<double>(retry.max_backoff.count()),
-        static_cast<double>(retry.initial_backoff.count()) *
-            std::pow(2.0, attempt));
-    const double jittered_ms =
-        std::max(base_ms * (0.5 + 0.5 * jitter.Uniform()), 0.0);
-    const auto sleep_until =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(jittered_ms));
-    if (sleep_until >= loop_deadline) break;  // would outlive the deadline
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(jittered_ms));
+    // Jittered so retries from clients seeded differently decorrelate
+    // instead of re-colliding.
+    const auto delay = util::BackoffDelay(attempt, retry.initial_backoff,
+                                          retry.max_backoff, jitter.Uniform());
+    if (std::chrono::steady_clock::now() + delay >= loop_deadline) {
+      break;  // would outlive the deadline
+    }
+    std::this_thread::sleep_for(delay);
   }
   return result;
 }

@@ -99,9 +99,10 @@ enum class ServerHealth {
 
 const char* ServerHealthName(ServerHealth health);
 
-/// Client-side retry policy for SubmitWithRetry: capped exponential
-/// backoff with deterministic jitter, retrying only ResourceExhausted
-/// (overload) rejections.
+/// Client-side retry policy for SubmitWithRetry: util::BackoffDelay's
+/// capped exponential backoff with deterministic jitter (whole
+/// milliseconds, at least 1), retrying only ResourceExhausted (overload)
+/// rejections.
 struct RetryOptions {
   int max_attempts = 5;
   std::chrono::milliseconds initial_backoff{2};

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/fault.h"
 
@@ -25,22 +25,6 @@ constexpr uint32_t kSectionOptimizer = 1u << 1;
 constexpr uint32_t kSectionRng = 1u << 2;
 constexpr uint32_t kSectionTrainer = 1u << 3;
 
-template <typename T>
-void WritePod(std::ofstream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  WritePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 // Corrupt bytes can decode to absurd sizes; cap them so a bad file yields
 // a Status instead of a multi-gigabyte allocation or an aborting Tensor.
 constexpr uint32_t kMaxNameLen = 1u << 16;
@@ -48,80 +32,56 @@ constexpr uint32_t kMaxNdim = 16;
 constexpr int64_t kMaxDim = int64_t{1} << 32;
 constexpr int64_t kMaxNumel = int64_t{1} << 28;  // 1 GiB of float32
 
-bool ReadString(std::ifstream& in, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len)) return false;
-  if (len > kMaxNameLen) return false;
-  s->assign(len, '\0');
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
-}
-
 /// name | ndim | dims | crc32 | data — shared by weights and opt slots.
-void WriteTensorEntry(std::ofstream& out, const std::string& name,
+void WriteTensorEntry(util::ByteWriter* out, const std::string& name,
                       const core::Tensor& t) {
-  WriteString(out, name);
-  WritePod<uint32_t>(out, static_cast<uint32_t>(t.ndim()));
-  for (int i = 0; i < t.ndim(); ++i) WritePod<int64_t>(out, t.dim(i));
+  out->String(name);
+  out->Put(static_cast<uint32_t>(t.ndim()));
+  for (int i = 0; i < t.ndim(); ++i) out->Put(t.dim(i));
   const size_t bytes = static_cast<size_t>(t.numel()) * sizeof(float);
-  WritePod<uint32_t>(out, util::Crc32(t.data(), bytes));
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(bytes));
+  out->Put(util::Crc32(t.data(), bytes));
+  out->Bytes(t.data(), bytes);
 }
 
 /// Reads one tensor entry into freshly-allocated storage, verifying the
-/// checksum. `what` names the section for error messages.
-util::Status ReadTensorEntry(std::ifstream& in, const std::string& path,
-                             const char* what, std::string* name,
-                             core::Tensor* t) {
-  if (!ReadString(in, name)) {
+/// checksum when the entry has one (a v1 entry is a v2 entry without its
+/// crc). Storage is allocated only once the file holds its bytes. `what`
+/// names the section for error messages.
+util::Status ReadTensorEntry(util::ByteReader& in, const std::string& path,
+                             const char* what, bool has_crc,
+                             std::string* name, core::Tensor* t) {
+  const auto truncated = [&](const char* field) {
     return util::Status::IOError(std::string("truncated checkpoint (") +
-                                 what + " name): " + path);
-  }
-  uint32_t ndim = 0;
-  if (!ReadPod(in, &ndim)) {
-    return util::Status::IOError(std::string("truncated checkpoint (") +
-                                 what + " ndim): " + path);
-  }
-  if (ndim > kMaxNdim) {
+                                 what + " " + field + "): " + path);
+  };
+  const auto corrupt = [&](const std::string& detail) {
     return util::Status::FailedPrecondition(
-        std::string("corrupt checkpoint (") + what + " ndim " +
-        std::to_string(ndim) + "): " + path);
-  }
+        std::string("corrupt checkpoint (") + what + " " + detail +
+        "): " + path);
+  };
+  uint32_t ndim = 0;
+  if (!in.String(name, kMaxNameLen)) return truncated("name");
+  if (!in.Get(&ndim)) return truncated("ndim");
+  if (ndim > kMaxNdim) return corrupt("ndim " + std::to_string(ndim));
   core::Shape shape(ndim);
-  for (auto& d : shape) {
-    if (!ReadPod(in, &d)) {
-      return util::Status::IOError(std::string("truncated checkpoint (") +
-                                   what + " dims): " + path);
-    }
-    if (d < 0 || d > kMaxDim) {
-      return util::Status::FailedPrecondition(
-          std::string("corrupt checkpoint (") + what + " dim " +
-          std::to_string(d) + "): " + path);
-    }
+  for (int64_t& d : shape) {
+    if (!in.Get(&d)) return truncated("dims");
+    if (d < 0 || d > kMaxDim) return corrupt("dim " + std::to_string(d));
   }
   int64_t numel = 1;
   for (int64_t d : shape) {
     if (d != 0 && numel > kMaxNumel / d) {
-      return util::Status::FailedPrecondition(
-          std::string("corrupt checkpoint (") + what +
-          " implausible element count): " + path);
+      return corrupt("implausible element count");
     }
     numel *= d;
   }
   uint32_t stored_crc = 0;
-  if (!ReadPod(in, &stored_crc)) {
-    return util::Status::IOError(std::string("truncated checkpoint (") +
-                                 what + " crc): " + path);
-  }
+  if (has_crc && !in.Get(&stored_crc)) return truncated("crc");
+  const size_t bytes = static_cast<size_t>(numel) * sizeof(float);
+  if (in.remaining() < bytes) return truncated("data");
   *t = core::Tensor(shape);
-  const size_t bytes = static_cast<size_t>(t->numel()) * sizeof(float);
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(bytes));
-  if (!in) {
-    return util::Status::IOError(std::string("truncated checkpoint (") +
-                                 what + " data): " + path);
-  }
+  in.Bytes(t->data(), bytes);
+  if (!has_crc) return util::Status::OK();
   const uint32_t computed = util::Crc32(t->data(), bytes);
   if (computed != stored_crc) {
     return util::Status::FailedPrecondition(
@@ -185,42 +145,6 @@ util::Status AssignParams(
   return util::Status::OK();
 }
 
-/// v1 body: no checksums, weights only. `in` is positioned after the magic.
-util::Status ParseV1Body(std::ifstream& in, const std::string& path,
-                         std::vector<std::pair<std::string, core::Tensor>>*
-                             out) {
-  uint64_t count = 0;
-  if (!ReadPod(in, &count)) {
-    return util::Status::IOError("truncated checkpoint: " + path);
-  }
-  std::vector<std::pair<std::string, core::Tensor>> loaded;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    if (!ReadString(in, &name)) {
-      return util::Status::IOError("truncated checkpoint (name): " + path);
-    }
-    uint32_t ndim = 0;
-    if (!ReadPod(in, &ndim)) {
-      return util::Status::IOError("truncated checkpoint (ndim): " + path);
-    }
-    core::Shape shape(ndim);
-    for (auto& d : shape) {
-      if (!ReadPod(in, &d)) {
-        return util::Status::IOError("truncated checkpoint (dims): " + path);
-      }
-    }
-    core::Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    if (!in) {
-      return util::Status::IOError("truncated checkpoint (data): " + path);
-    }
-    loaded.emplace_back(std::move(name), std::move(t));
-  }
-  *out = std::move(loaded);
-  return util::Status::OK();
-}
-
 /// Reads and structurally validates the whole file (v1 or v2): magic,
 /// version, tensor checksums, optional sections, footer. Fills `loaded`
 /// and `parsed` on success; touches no module. The single parse path
@@ -233,101 +157,87 @@ util::Status ParseCheckpointFile(
     return util::Status::IOError("injected fault: unreadable checkpoint " +
                                  path);
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::IOError("cannot open for read: " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in) return util::Status::IOError("truncated checkpoint: " + path);
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    // Legacy v1: weights only, loadable but carries no training state.
-    return ParseV1Body(in, path, loaded);
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
+  const util::StatusOr<std::vector<uint8_t>> file = util::ReadFile(path);
+  if (!file.ok()) return util::Status::IOError(file.status().message());
+  util::ByteReader in(file.value());
+  const auto truncated = [&](const char* what) {
+    return util::Status::IOError(std::string("truncated checkpoint (") +
+                                 what + "): " + path);
+  };
+  char magic[8] = {};
+  if (!in.Bytes(magic, sizeof(magic))) return truncated("magic");
+  // Legacy v1: no version, no mask, no checksums, no sections, no footer;
+  // weights only, loadable but carries no training state.
+  const bool v1 = std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0;
+  if (!v1 && std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0) {
     return util::Status::FailedPrecondition("bad checkpoint magic: " + path);
   }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version)) {
-    return util::Status::IOError("truncated checkpoint (version): " + path);
-  }
-  if (version != kVersion2) {
-    return util::Status::FailedPrecondition(
-        "unsupported checkpoint version " + std::to_string(version) + ": " +
-        path);
-  }
-  uint32_t mask = 0;
-  if (!ReadPod(in, &mask)) {
-    return util::Status::IOError("truncated checkpoint (mask): " + path);
+  uint32_t mask = 1;  // weights
+  if (!v1) {
+    uint32_t version = 0;
+    if (!in.Get(&version)) return truncated("version");
+    if (version != kVersion2) {
+      return util::Status::FailedPrecondition(
+          "unsupported checkpoint version " + std::to_string(version) +
+          ": " + path);
+    }
+    if (!in.Get(&mask)) return truncated("mask");
   }
 
+  // No count below sizes anything: each entry or record must be read
+  // from bytes the file holds, so a corrupt count ends in "truncated".
   uint64_t count = 0;
-  if (!ReadPod(in, &count)) {
-    return util::Status::IOError("truncated checkpoint (param count): " +
-                                 path);
-  }
-  loaded->reserve(count);
+  if (!in.Get(&count)) return truncated("param count");
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     core::Tensor t;
-    LLM_RETURN_IF_ERROR(ReadTensorEntry(in, path, "param", &name, &t));
+    LLM_RETURN_IF_ERROR(ReadTensorEntry(in, path, "param", !v1, &name, &t));
     loaded->emplace_back(std::move(name), std::move(t));
   }
+  if (v1) return util::Status::OK();
 
   if (mask & kSectionOptimizer) {
-    if (!ReadString(in, &parsed->optimizer.type) ||
-        !ReadPod(in, &parsed->optimizer.step)) {
-      return util::Status::IOError("truncated checkpoint (optimizer): " +
-                                   path);
+    if (!in.String(&parsed->optimizer.type, kMaxNameLen) ||
+        !in.Get(&parsed->optimizer.step)) {
+      return truncated("optimizer");
     }
     uint64_t slots = 0;
-    if (!ReadPod(in, &slots)) {
-      return util::Status::IOError("truncated checkpoint (slot count): " +
-                                   path);
-    }
+    if (!in.Get(&slots)) return truncated("slot count");
     for (uint64_t i = 0; i < slots; ++i) {
       std::string name;
       core::Tensor t;
-      LLM_RETURN_IF_ERROR(ReadTensorEntry(in, path, "slot", &name, &t));
+      LLM_RETURN_IF_ERROR(ReadTensorEntry(in, path, "slot", true, &name, &t));
       parsed->optimizer.slots.emplace_back(std::move(name), std::move(t));
     }
     parsed->has_optimizer = true;
   }
   if (mask & kSectionRng) {
     uint8_t have_cached = 0;
-    for (uint64_t& s : parsed->rng.s) {
-      if (!ReadPod(in, &s)) {
-        return util::Status::IOError("truncated checkpoint (rng): " + path);
-      }
-    }
-    if (!ReadPod(in, &have_cached) ||
-        !ReadPod(in, &parsed->rng.cached_normal)) {
-      return util::Status::IOError("truncated checkpoint (rng): " + path);
+    if (!in.Bytes(parsed->rng.s, sizeof(parsed->rng.s)) ||
+        !in.Get(&have_cached) || !in.Get(&parsed->rng.cached_normal)) {
+      return truncated("rng");
     }
     parsed->rng.have_cached_normal = have_cached != 0;
     parsed->has_rng = true;
   }
   if (mask & kSectionTrainer) {
     uint64_t records = 0;
-    if (!ReadPod(in, &parsed->next_step) || !ReadPod(in, &parsed->lr_scale) ||
-        !ReadPod(in, &records)) {
-      return util::Status::IOError("truncated checkpoint (trainer): " + path);
+    if (!in.Get(&parsed->next_step) || !in.Get(&parsed->lr_scale) ||
+        !in.Get(&records)) {
+      return truncated("trainer");
     }
-    parsed->history.reserve(records);
     for (uint64_t i = 0; i < records; ++i) {
       StepRecord r;
-      if (!ReadPod(in, &r.step) || !ReadPod(in, &r.loss) ||
-          !ReadPod(in, &r.lr) || !ReadPod(in, &r.grad_norm) ||
-          !ReadPod(in, &r.event)) {
-        return util::Status::IOError("truncated checkpoint (history): " +
-                                     path);
+      if (!in.Get(&r.step) || !in.Get(&r.loss) || !in.Get(&r.lr) ||
+          !in.Get(&r.grad_norm) || !in.Get(&r.event)) {
+        return truncated("history");
       }
       parsed->history.push_back(r);
     }
     parsed->has_trainer = true;
   }
-  char footer[8];
-  in.read(footer, sizeof(footer));
-  if (!in) return util::Status::IOError("truncated checkpoint (footer): " +
-                                        path);
+  char footer[8] = {};
+  if (!in.Bytes(footer, sizeof(footer))) return truncated("footer");
   if (std::memcmp(footer, kFooterV2, sizeof(kFooterV2)) != 0) {
     return util::Status::FailedPrecondition("bad checkpoint footer: " + path);
   }
@@ -338,79 +248,64 @@ util::Status ParseCheckpointFile(
 
 util::Status SaveCheckpoint(const nn::Module& module, const std::string& path,
                             const TrainState* state) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return util::Status::IOError("cannot open for write: " + tmp);
-    out.write(kMagicV2, sizeof(kMagicV2));
-    WritePod<uint32_t>(out, kVersion2);
-    uint32_t mask = 1;  // weights, always present
-    if (state != nullptr) {
-      if (state->has_optimizer) mask |= kSectionOptimizer;
-      if (state->has_rng) mask |= kSectionRng;
-      if (state->has_trainer) mask |= kSectionTrainer;
-    }
-    WritePod<uint32_t>(out, mask);
+  uint32_t mask = 1;  // weights, always present
+  if (state != nullptr) {
+    if (state->has_optimizer) mask |= kSectionOptimizer;
+    if (state->has_rng) mask |= kSectionRng;
+    if (state->has_trainer) mask |= kSectionTrainer;
+  }
+  util::ByteWriter out;
+  out.Bytes(kMagicV2, sizeof(kMagicV2));
+  out.Put(kVersion2);
+  out.Put(mask);
 
-    // Injected torn write (counted once per save): stop partway through
-    // the parameter list, as a crash would. The tmp file is abandoned
-    // un-renamed, so the destination path is never corrupted.
-    const bool tear =
-        util::MaybeInjectFault(util::FaultSite::kCheckpointWrite);
-    const nn::NamedParams params = module.NamedParameters();
-    WritePod<uint64_t>(out, params.size());
-    size_t written = 0;
-    for (const auto& [name, var] : params) {
-      if (tear && written >= params.size() / 2) {
-        out.flush();
-        out.close();
-        return util::Status::IOError(
-            "injected fault: torn checkpoint write at " + tmp);
-      }
-      WriteTensorEntry(out, name, var.value());
-      ++written;
+  // Injected torn write (counted once per save): stop partway through
+  // the parameter list, as a crash would. The tmp file is abandoned
+  // un-renamed, so the destination path is never corrupted.
+  const bool tear = util::MaybeInjectFault(util::FaultSite::kCheckpointWrite);
+  const nn::NamedParams params = module.NamedParameters();
+  out.Put<uint64_t>(params.size());
+  size_t written = 0;
+  for (const auto& [name, var] : params) {
+    if (tear && written >= params.size() / 2) {
+      const std::string tmp = path + ".tmp";
+      (void)util::WriteFile(tmp, out.bytes());
+      return util::Status::IOError(
+          "injected fault: torn checkpoint write at " + tmp);
     }
+    WriteTensorEntry(&out, name, var.value());
+    ++written;
+  }
 
-    if (mask & kSectionOptimizer) {
-      WriteString(out, state->optimizer.type);
-      WritePod<int64_t>(out, state->optimizer.step);
-      WritePod<uint64_t>(out, state->optimizer.slots.size());
-      for (const auto& [name, t] : state->optimizer.slots) {
-        WriteTensorEntry(out, name, t);
-      }
-    }
-    if (mask & kSectionRng) {
-      for (uint64_t s : state->rng.s) WritePod<uint64_t>(out, s);
-      WritePod<uint8_t>(out, state->rng.have_cached_normal ? 1 : 0);
-      WritePod<double>(out, state->rng.cached_normal);
-    }
-    if (mask & kSectionTrainer) {
-      WritePod<int64_t>(out, state->next_step);
-      WritePod<float>(out, state->lr_scale);
-      WritePod<uint64_t>(out, state->history.size());
-      for (const StepRecord& r : state->history) {
-        WritePod<int64_t>(out, r.step);
-        WritePod<float>(out, r.loss);
-        WritePod<float>(out, r.lr);
-        WritePod<float>(out, r.grad_norm);
-        WritePod<uint8_t>(out, r.event);
-      }
-    }
-    out.write(kFooterV2, sizeof(kFooterV2));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return util::Status::IOError("write failed: " + tmp);
+  if (mask & kSectionOptimizer) {
+    out.String(state->optimizer.type);
+    out.Put(state->optimizer.step);
+    out.Put<uint64_t>(state->optimizer.slots.size());
+    for (const auto& [name, t] : state->optimizer.slots) {
+      WriteTensorEntry(&out, name, t);
     }
   }
+  if (mask & kSectionRng) {
+    out.Bytes(state->rng.s, sizeof(state->rng.s));
+    out.Put<uint8_t>(state->rng.have_cached_normal ? 1 : 0);
+    out.Put(state->rng.cached_normal);
+  }
+  if (mask & kSectionTrainer) {
+    out.Put(state->next_step);
+    out.Put(state->lr_scale);
+    out.Put<uint64_t>(state->history.size());
+    for (const StepRecord& r : state->history) {
+      out.Put(r.step);
+      out.Put(r.loss);
+      out.Put(r.lr);
+      out.Put(r.grad_norm);
+      out.Put(r.event);
+    }
+  }
+  out.Bytes(kFooterV2, sizeof(kFooterV2));
   // Atomic publish: readers see either the old complete file or the new
   // complete file, never a partial one.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::IOError("rename failed: " + tmp + " -> " + path);
-  }
-  return util::Status::OK();
+  return util::ReplaceFile(path, out.bytes());
 }
 
 util::Status LoadCheckpoint(nn::Module* module, const std::string& path,

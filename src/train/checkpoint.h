@@ -1,7 +1,8 @@
 // Checkpointing: crash-safe binary save/load of a module's parameters and,
 // in format v2, the full training state needed for bit-exact resume.
 //
-// v2 format (little-endian):
+// v2 format (little-endian; written and read through util/bytes.h, whose
+// static_assert admits only little-endian hosts):
 //   magic "TFMRCKP2" (8 bytes) | uint32 version=2 | uint32 section_mask
 //   [weights]   uint64 param_count, then per param:
 //               uint32 name_len | name | uint32 ndim | int64 dims[ndim] |
@@ -15,14 +16,19 @@
 //               uint8 event
 //   footer magic "TFMREND2" (8 bytes) — catches truncated tails
 //
-// Writes are atomic: everything goes to "<path>.tmp", is flushed, and only
-// then renamed over <path>, so a crash mid-write never leaves a torn file
-// at the final path. Every tensor carries a CRC32; LoadCheckpoint reports
-// truncation as kIOError and bad magic / checksum mismatch / shape drift
-// as kFailedPrecondition, never a crash or a silent misload.
+// Writes are atomic: the whole file is built in memory, written to
+// "<path>.tmp" and only then renamed over <path>, so a crash mid-write
+// never leaves a torn file at the final path (nothing is fsynced). A save
+// or a load holds the whole file in memory once. Every tensor carries a
+// CRC32; LoadCheckpoint reports a missing or truncated file as kIOError
+// and bad magic / checksum mismatch / shape drift / an implausible rank or
+// dim as kFailedPrecondition, never a crash or a silent misload: no count
+// in the file sizes an allocation before the file holds the bytes it
+// counts.
 //
-// v1 files ("TFMRCKPT": no version, no checksums, weights only) still load
-// read-only for weights; resuming training from them is rejected.
+// v1 files ("TFMRCKPT": no version, no mask, no checksums, weights only:
+// a v1 entry is a v2 entry without its crc32) still load read-only for
+// weights, under the same caps; resuming training from them is rejected.
 #ifndef TFMR_TRAIN_CHECKPOINT_H_
 #define TFMR_TRAIN_CHECKPOINT_H_
 

@@ -11,6 +11,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "util/backoff.h"
 #include "util/check.h"
 
 namespace llm::train::dist {
@@ -53,8 +54,7 @@ void CountRx(const Frame& frame) {
   Metrics().bytes_rx->Increment(kFrameHeaderBytes + frame.payload.size());
 }
 
-/// Per-attempt connect + handshake budget, and the reconnect backoff
-/// (SubmitWithRetry's discipline).
+/// Per-attempt connect + handshake budget, and the reconnect backoff.
 constexpr std::chrono::milliseconds kConnectTimeout{2000};
 constexpr std::chrono::milliseconds kBackoffInitial{5};
 constexpr std::chrono::milliseconds kBackoffCap{200};
@@ -478,8 +478,8 @@ util::Status SocketComm::EnsureConnected(SteadyClock::time_point deadline) {
       }
       ::close(fd.value());
     }
-    const auto delay = BackoffDelay(attempt++, kBackoffInitial, kBackoffCap,
-                                    jitter_.Uniform());
+    const auto delay = util::BackoffDelay(attempt++, kBackoffInitial,
+                                          kBackoffCap, jitter_.Uniform());
     std::this_thread::sleep_for(
         std::min<SteadyClock::duration>(delay, deadline - SteadyClock::now()));
   }

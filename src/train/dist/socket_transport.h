@@ -20,8 +20,8 @@
 //     telemetry frame is dropped.
 //   * Reconnection. A broken connection (kSockDisconnect, a worker
 //     process bounce, a dropped TCP session) is retried with
-//     capped-exponential backoff and deterministic jitter inside the
-//     collective deadline. A contribution re-sent for a round that
+//     util::BackoffDelay's capped-exponential backoff and deterministic
+//     jitter inside the collective deadline. A contribution re-sent for a round that
 //     already completed is answered from the hub's cache of completed
 //     results, so a client that disconnected between contributing and
 //     hearing the result still converges.

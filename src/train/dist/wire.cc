@@ -11,52 +11,16 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/fault.h"
 
 namespace llm::train::dist {
 namespace {
-
-// Header byte offsets (little-endian fields; total kFrameHeaderBytes).
-constexpr size_t kOffMagic = 0;
-constexpr size_t kOffVersion = 4;
-constexpr size_t kOffType = 6;
-constexpr size_t kOffRank = 8;
-constexpr size_t kOffStatus = 12;
-constexpr size_t kOffEpoch = 16;
-constexpr size_t kOffSeq = 24;
-constexpr size_t kOffPayloadLen = 32;
-constexpr size_t kOffPayloadCrc = 36;
-constexpr size_t kOffHeaderCrc = 40;
-
-void StoreU16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-void StoreU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-void StoreU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-uint16_t LoadU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 int RemainingMs(SteadyClock::time_point deadline) {
   const auto left = deadline - SteadyClock::now();
@@ -215,20 +179,20 @@ util::Status SendFrame(int fd, const Frame& frame,
     payload = corrupted.data();
   }
 
-  uint8_t header[kFrameHeaderBytes];
-  StoreU32(header + kOffMagic, kWireMagic);
-  StoreU16(header + kOffVersion, kWireVersion);
-  StoreU16(header + kOffType, static_cast<uint16_t>(frame.type));
-  StoreU32(header + kOffRank, static_cast<uint32_t>(frame.rank));
-  StoreU32(header + kOffStatus, static_cast<uint32_t>(frame.status));
-  StoreU64(header + kOffEpoch, static_cast<uint64_t>(frame.epoch));
-  StoreU64(header + kOffSeq, static_cast<uint64_t>(frame.seq));
-  StoreU32(header + kOffPayloadLen,
-           static_cast<uint32_t>(frame.payload.size()));
-  StoreU32(header + kOffPayloadCrc, payload_crc);
-  StoreU32(header + kOffHeaderCrc, util::Crc32(header, kOffHeaderCrc));
+  util::ByteWriter header(kFrameHeaderBytes);
+  header.Put(kWireMagic);
+  header.Put(kWireVersion);
+  header.Put(static_cast<uint16_t>(frame.type));
+  header.Put(frame.rank);
+  header.Put(frame.status);
+  header.Put(frame.epoch);
+  header.Put(frame.seq);
+  header.Put(static_cast<uint32_t>(frame.payload.size()));
+  header.Put(payload_crc);
+  header.Put(util::Crc32(header.bytes().data(), header.bytes().size()));
 
-  LLM_RETURN_IF_ERROR(WriteAll(fd, header, kFrameHeaderBytes, deadline));
+  LLM_RETURN_IF_ERROR(
+      WriteAll(fd, header.bytes().data(), kFrameHeaderBytes, deadline));
   if (!frame.payload.empty()) {
     LLM_RETURN_IF_ERROR(
         WriteAll(fd, payload, frame.payload.size(), deadline));
@@ -239,30 +203,38 @@ util::Status SendFrame(int fd, const Frame& frame,
 util::StatusOr<Frame> ReadFrame(int fd, SteadyClock::time_point deadline) {
   uint8_t header[kFrameHeaderBytes];
   LLM_RETURN_IF_ERROR(ReadAll(fd, header, kFrameHeaderBytes, deadline));
-  if (LoadU32(header + kOffMagic) != kWireMagic) {
+  // The header holds every field, so none of these reads can fail.
+  util::ByteReader r(header);
+  Frame frame;
+  uint32_t magic = 0, payload_len = 0, payload_crc = 0, header_crc = 0;
+  uint16_t version = 0, type = 0;
+  r.Get(&magic);
+  r.Get(&version);
+  r.Get(&type);
+  r.Get(&frame.rank);
+  r.Get(&frame.status);
+  r.Get(&frame.epoch);
+  r.Get(&frame.seq);
+  r.Get(&payload_len);
+  r.Get(&payload_crc);
+  const size_t crc_covers = r.pos();
+  r.Get(&header_crc);
+  if (magic != kWireMagic) {
     return util::Status::Internal("frame magic mismatch (desynced stream)");
   }
-  if (LoadU16(header + kOffVersion) != kWireVersion) {
-    return util::Status::Internal(
-        "frame version mismatch: " +
-        std::to_string(LoadU16(header + kOffVersion)));
+  if (version != kWireVersion) {
+    return util::Status::Internal("frame version mismatch: " +
+                                  std::to_string(version));
   }
-  if (LoadU32(header + kOffHeaderCrc) !=
-      util::Crc32(header, kOffHeaderCrc)) {
+  if (header_crc != util::Crc32(header, crc_covers)) {
     return util::Status::Internal("frame header checksum mismatch");
   }
-  const uint32_t payload_len = LoadU32(header + kOffPayloadLen);
   if (payload_len > kMaxFramePayload) {
     return util::Status::Internal("frame payload oversized: " +
                                   std::to_string(payload_len));
   }
 
-  Frame frame;
-  frame.type = static_cast<FrameType>(LoadU16(header + kOffType));
-  frame.rank = static_cast<int32_t>(LoadU32(header + kOffRank));
-  frame.status = static_cast<int32_t>(LoadU32(header + kOffStatus));
-  frame.epoch = static_cast<int64_t>(LoadU64(header + kOffEpoch));
-  frame.seq = static_cast<int64_t>(LoadU64(header + kOffSeq));
+  frame.type = static_cast<FrameType>(type);
   frame.payload.resize(payload_len);
   if (payload_len > 0) {
     LLM_RETURN_IF_ERROR(
@@ -272,25 +244,19 @@ util::StatusOr<Frame> ReadFrame(int fd, SteadyClock::time_point deadline) {
   // payload-CRC mismatch is corruption-in-transport: report it in-band so
   // the round fails with kInternal while the connection survives.
   frame.payload_ok = util::Crc32(frame.payload.data(),
-                                 frame.payload.size()) ==
-                     LoadU32(header + kOffPayloadCrc);
+                                 frame.payload.size()) == payload_crc;
   return frame;
 }
 
 std::vector<uint8_t> EncodeFloats(const std::vector<float>& values) {
-  std::vector<uint8_t> bytes(values.size() * sizeof(float));
-  if (!values.empty()) {
-    std::memcpy(bytes.data(), values.data(), bytes.size());
-  }
-  return bytes;
+  util::ByteWriter w(sizeof(float) * values.size());
+  w.Bytes(values.data(), sizeof(float) * values.size());
+  return w.Take();
 }
 
 std::vector<float> DecodeFloats(const std::vector<uint8_t>& bytes) {
   std::vector<float> values(bytes.size() / sizeof(float));
-  if (!values.empty()) {
-    std::memcpy(values.data(), bytes.data(),
-                values.size() * sizeof(float));
-  }
+  util::ByteReader(bytes).Bytes(values.data(), sizeof(float) * values.size());
   return values;
 }
 
@@ -298,49 +264,34 @@ std::vector<uint8_t> EncodeGather(
     const std::vector<std::vector<float>>& bufs) {
   size_t total = 0;
   for (const auto& b : bufs) total += b.size();
-  std::vector<uint8_t> bytes(4 + 4 * bufs.size() + sizeof(float) * total);
-  uint8_t* p = bytes.data();
-  StoreU32(p, static_cast<uint32_t>(bufs.size()));
-  p += 4;
-  for (const auto& b : bufs) {
-    StoreU32(p, static_cast<uint32_t>(b.size()));
-    p += 4;
-  }
-  for (const auto& b : bufs) {
-    if (!b.empty()) {
-      std::memcpy(p, b.data(), b.size() * sizeof(float));
-      p += b.size() * sizeof(float);
-    }
-  }
-  return bytes;
+  util::ByteWriter w(4 + 4 * bufs.size() + sizeof(float) * total);
+  w.Put(static_cast<uint32_t>(bufs.size()));
+  for (const auto& b : bufs) w.Put(static_cast<uint32_t>(b.size()));
+  for (const auto& b : bufs) w.Bytes(b.data(), b.size() * sizeof(float));
+  return w.Take();
 }
 
 util::StatusOr<std::vector<std::vector<float>>> DecodeGather(
     const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < 4) {
+  util::ByteReader r(bytes);
+  uint32_t count = 0;
+  if (!r.Get(&count)) {
     return util::Status::Internal("gather payload truncated (no count)");
   }
-  const uint32_t count = LoadU32(bytes.data());
-  if (count > 4096 || bytes.size() < 4 + 4 * static_cast<size_t>(count)) {
+  if (count > 4096 || r.remaining() < 4 * static_cast<size_t>(count)) {
     return util::Status::Internal("gather payload truncated (size table)");
   }
-  std::vector<std::vector<float>> bufs(count);
+  std::vector<uint32_t> lens(count);
+  r.Bytes(lens.data(), 4 * lens.size());  // fits: checked above
   size_t total = 0;
-  for (uint32_t r = 0; r < count; ++r) {
-    total += LoadU32(bytes.data() + 4 + 4 * r);
-  }
-  if (bytes.size() != 4 + 4 * static_cast<size_t>(count) +
-                          sizeof(float) * total) {
+  for (const uint32_t len : lens) total += len;
+  if (r.remaining() != sizeof(float) * total) {
     return util::Status::Internal("gather payload length mismatch");
   }
-  const uint8_t* p = bytes.data() + 4 + 4 * static_cast<size_t>(count);
-  for (uint32_t r = 0; r < count; ++r) {
-    const uint32_t len = LoadU32(bytes.data() + 4 + 4 * r);
-    bufs[r].resize(len);
-    if (len > 0) {
-      std::memcpy(bufs[r].data(), p, len * sizeof(float));
-      p += len * sizeof(float);
-    }
+  std::vector<std::vector<float>> bufs(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    bufs[i].resize(lens[i]);
+    r.Bytes(bufs[i].data(), sizeof(float) * lens[i]);  // fits: checked above
   }
   return bufs;
 }
@@ -504,21 +455,6 @@ util::StatusOr<int> ConnectTo(const std::string& address,
     }
   }
   return fd;
-}
-
-std::chrono::milliseconds BackoffDelay(int attempt,
-                                       std::chrono::milliseconds initial,
-                                       std::chrono::milliseconds cap,
-                                       double jitter_uniform) {
-  const double base_ms =
-      std::min<double>(static_cast<double>(cap.count()),
-                       static_cast<double>(initial.count()) *
-                           std::pow(2.0, std::max(attempt, 0)));
-  // Jitter in [0.5, 1.0)x — SubmitWithRetry's discipline: decorrelated
-  // clients do not re-collide on the reconnect stampede.
-  const double jittered = base_ms * (0.5 + 0.5 * jitter_uniform);
-  return std::chrono::milliseconds(
-      std::max<int64_t>(1, static_cast<int64_t>(jittered)));
 }
 
 }  // namespace llm::train::dist

@@ -1,7 +1,8 @@
 // Wire protocol for the socket-backed collective transport.
 //
 // Everything that crosses a process boundary is a length-prefixed,
-// CRC32-framed message with a fixed 44-byte header:
+// CRC32-framed message with a fixed 44-byte little-endian header, written
+// and read in field order through util/bytes.h:
 //
 //   u32 magic  u16 version  u16 type  i32 rank  i32 status
 //   i64 epoch  i64 seq  u32 payload_len  u32 payload_crc  u32 header_crc
@@ -106,8 +107,8 @@ util::StatusOr<Frame> ReadFrame(int fd, SteadyClock::time_point deadline);
 // Payload codecs.
 // ---------------------------------------------------------------------------
 
-/// Float vector <-> bytes (little-endian memcpy; every box we run on is
-/// little-endian, asserted at connect time by the hello exchange).
+/// Float vector <-> bytes, little-endian through util/bytes.h. Decoding
+/// drops a trailing partial float.
 std::vector<uint8_t> EncodeFloats(const std::vector<float>& values);
 std::vector<float> DecodeFloats(const std::vector<uint8_t>& bytes);
 
@@ -134,14 +135,6 @@ util::StatusOr<int> ListenOn(const std::string& address,
 /// Connects with a deadline; the returned fd is non-blocking.
 util::StatusOr<int> ConnectTo(const std::string& address,
                               SteadyClock::time_point deadline);
-
-/// Capped exponential backoff delay for reconnect attempt `attempt`
-/// (0-based), jittered into [0.5, 1.0)x by `jitter` — the same discipline
-/// as serve's SubmitWithRetry, so decorrelated clients do not re-collide.
-std::chrono::milliseconds BackoffDelay(int attempt,
-                                       std::chrono::milliseconds initial,
-                                       std::chrono::milliseconds cap,
-                                       double jitter_uniform);
 
 }  // namespace llm::train::dist
 

@@ -221,26 +221,6 @@ TEST(WireCodec, EveryProperGatherPrefixIsRejectedAsInternal) {
   }
 }
 
-TEST(WireBackoff, CappedExponentialWithDeterministicJitter) {
-  const milliseconds initial(5), cap(200);
-  // jitter=1.0 keeps the full delay: 5, 10, 20, ... capped at 200.
-  EXPECT_EQ(BackoffDelay(0, initial, cap, 1.0).count(), 5);
-  EXPECT_EQ(BackoffDelay(1, initial, cap, 1.0).count(), 10);
-  EXPECT_EQ(BackoffDelay(3, initial, cap, 1.0).count(), 40);
-  EXPECT_EQ(BackoffDelay(20, initial, cap, 1.0).count(), 200);
-  // jitter draws scale into [0.5, 1.0)x, never above the cap.
-  for (double j : {0.0, 0.25, 0.99}) {
-    for (int attempt : {0, 2, 8, 30}) {
-      const auto d = BackoffDelay(attempt, initial, cap, j);
-      EXPECT_GE(d.count(), 2);
-      EXPECT_LE(d.count(), 200);
-    }
-  }
-  // Same inputs, same delay: reconnect schedules are replayable.
-  EXPECT_EQ(BackoffDelay(4, initial, cap, 0.7),
-            BackoffDelay(4, initial, cap, 0.7));
-}
-
 // ---------------------------------------------------------------------------
 // SocketServer + SocketComm collectives.
 // ---------------------------------------------------------------------------

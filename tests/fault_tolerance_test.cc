@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -408,6 +409,58 @@ TEST_F(FaultToleranceTest, EveryProperPrefixIsRejectedAsIOError) {
     }
   }
   EXPECT_EQ(wrong, 0u);
+}
+
+/// Appends `v`'s bytes, low byte first.
+template <typename T>
+void Append(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+util::Status ValidateBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+  return ValidateCheckpoint(path);
+}
+
+TEST_F(FaultToleranceTest, HugeCountsAreRejectedNotAllocated) {
+  ScratchDir dir("tfmr_huge_counts");
+  const uint64_t kHuge = uint64_t{1} << 62;
+  std::string params = "TFMRCKP2";
+  Append<uint32_t>(&params, 2);
+  Append<uint32_t>(&params, 1);  // weights only
+  Append<uint64_t>(&params, kHuge);
+  EXPECT_EQ(ValidateBytes(dir.path() + "/params.tfmr", params).code(),
+            util::StatusCode::kIOError);
+
+  std::string history = "TFMRCKP2";
+  Append<uint32_t>(&history, 2);
+  Append<uint32_t>(&history, 1 | (1u << 3));  // weights and trainer
+  Append<uint64_t>(&history, 0);              // no parameters
+  Append<int64_t>(&history, 7);               // next_step
+  Append<float>(&history, 1.0f);              // lr_scale
+  Append<uint64_t>(&history, kHuge);
+  EXPECT_EQ(ValidateBytes(dir.path() + "/history.tfmr", history).code(),
+            util::StatusCode::kIOError);
+}
+
+TEST_F(FaultToleranceTest, V1DimsAreCappedLikeV2) {
+  ScratchDir dir("tfmr_v1_dims");
+  const auto v1_entry = [](std::initializer_list<int64_t> dims) {
+    std::string bytes = "TFMRCKPT";
+    Append<uint64_t>(&bytes, 1);
+    Append<uint32_t>(&bytes, 1);
+    bytes += "w";
+    Append<uint32_t>(&bytes, static_cast<uint32_t>(dims.size()));
+    for (int64_t d : dims) Append<int64_t>(&bytes, d);
+    return bytes;
+  };
+  EXPECT_EQ(ValidateBytes(dir.path() + "/negative.bin", v1_entry({-3})).code(),
+            util::StatusCode::kFailedPrecondition);
+  const int64_t k2Pow31 = int64_t{1} << 31;
+  EXPECT_EQ(ValidateBytes(dir.path() + "/huge.bin",
+                          v1_entry({k2Pow31, k2Pow31}))
+                .code(),
+            util::StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 // Tests for the utility substrate: Status/StatusOr, Rng, WorkerPool, Crc32,
-// Table, linalg.
+// the byte codec and its file I/O, BackoffDelay, Table, linalg.
 #include <gtest/gtest.h>
 
 #include <sched.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/backoff.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/fault.h"
 #include "util/linalg.h"
@@ -914,6 +919,128 @@ TEST(Crc32Test, MatchesBitwiseReference) {
   }
   EXPECT_EQ(Crc32(buf.data(), buf.size()),
             BitwiseCrc32(buf.data(), buf.size()));
+}
+
+TEST(ByteCodecTest, EveryScalarTypeRoundTrips) {
+  const auto values = std::make_tuple(
+      int8_t{-5}, uint8_t{250}, int16_t{-12345}, uint16_t{54321},
+      int32_t{-7}, uint32_t{0x01020304u}, -(int64_t{1} << 40),
+      ~uint64_t{0}, 3.5f, -1e-300, 'x');
+  ByteWriter w;
+  std::apply([&](auto... v) { (w.Put(v), ...); }, values);
+  w.String("name");
+  w.Bytes("raw", 3);
+  EXPECT_EQ(w.bytes().size(), 1 + 1 + 2 + 2 + 4 + 4 + 8 + 8 + 4 + 8 + 1 +
+                                  (4 + 4) + 3);
+
+  ByteReader r(w.bytes());
+  auto back = std::make_tuple(int8_t{}, uint8_t{}, int16_t{}, uint16_t{},
+                              int32_t{}, uint32_t{}, int64_t{}, uint64_t{},
+                              0.0f, 0.0, '\0');
+  std::apply([&](auto&... v) { EXPECT_TRUE((r.Get(&v) && ...)); }, back);
+  EXPECT_EQ(back, values);
+  std::string name;
+  char raw[3];
+  EXPECT_TRUE(r.String(&name, 4));
+  EXPECT_TRUE(r.Bytes(raw, sizeof(raw)));
+  EXPECT_EQ(name, "name");
+  EXPECT_EQ(std::string(raw, sizeof(raw)), "raw");
+  EXPECT_EQ(r.remaining(), 0u);
+
+  ByteWriter le;
+  le.Put(uint32_t{0x04030201u});
+  EXPECT_EQ(le.bytes(), (std::vector<uint8_t>{1, 2, 3, 4}));
+}
+
+TEST(ByteCodecTest, ReadThatDoesNotFitFailsAndConsumesNothing) {
+  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6};
+  ByteReader r(bytes);
+  uint32_t u32 = 0;
+  ASSERT_TRUE(r.Get(&u32));
+  EXPECT_EQ(u32, 0x04030201u);
+  uint64_t u64 = 7;
+  EXPECT_FALSE(r.Get(&u64));
+  EXPECT_EQ(u64, 7u);
+  EXPECT_EQ(r.pos(), 4u);
+  uint8_t out[3] = {0, 0, 0};
+  EXPECT_FALSE(r.Bytes(out, sizeof(out)));
+  EXPECT_EQ(r.pos(), 4u);
+  EXPECT_EQ(r.remaining(), 2u);
+  uint16_t u16 = 0;
+  ASSERT_TRUE(r.Get(&u16));
+  EXPECT_EQ(u16, 0x0605u);
+  uint8_t u8 = 0;
+  EXPECT_FALSE(r.Get(&u8));
+  EXPECT_EQ(r.pos(), 6u);
+  EXPECT_TRUE(r.Bytes(nullptr, 0));
+}
+
+TEST(ByteCodecTest, StringRefusesALengthOverMaxLen) {
+  ByteWriter w;
+  w.String("abcdef");
+  ByteReader r(w.bytes());
+  std::string s = "kept";
+  EXPECT_FALSE(r.String(&s, 5));
+  EXPECT_EQ(s, "kept");
+  EXPECT_EQ(r.pos(), 0u);
+  EXPECT_TRUE(r.String(&s, 6));
+  EXPECT_EQ(s, "abcdef");
+
+  // A length the buffer does not hold fails the same way.
+  ByteWriter short_of;
+  short_of.Put(uint32_t{100});
+  short_of.Bytes("ab", 2);
+  ByteReader cut(short_of.bytes());
+  EXPECT_FALSE(cut.String(&s, 1000));
+  EXPECT_EQ(cut.pos(), 0u);
+}
+
+TEST(ByteCodecTest, FilesRoundTripAndMissingIsNotFound) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tfmr_bytes_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "blob").string();
+  const std::vector<uint8_t> bytes = {0, 1, 2, 254, 255};
+
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+  StatusOr<std::vector<uint8_t>> read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read.value(), bytes);
+
+  const std::vector<uint8_t> replaced = {9, 8, 7};
+  ASSERT_TRUE(ReplaceFile(path, replaced).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(ReadFile(path).value(), replaced);
+  ASSERT_TRUE(WriteFile(path, {}).ok());
+  EXPECT_TRUE(ReadFile(path).value().empty());
+
+  EXPECT_EQ(ReadFile((dir / "absent").string()).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(WriteFile((dir / "no_dir" / "blob").string(), bytes).code(),
+            StatusCode::kIOError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BackoffTest, CappedExponentialWithDeterministicJitter) {
+  const std::chrono::milliseconds initial(5), cap(200);
+  // jitter=1.0 keeps the full delay: 5, 10, 20, ... capped at 200.
+  EXPECT_EQ(BackoffDelay(0, initial, cap, 1.0).count(), 5);
+  EXPECT_EQ(BackoffDelay(1, initial, cap, 1.0).count(), 10);
+  EXPECT_EQ(BackoffDelay(3, initial, cap, 1.0).count(), 40);
+  EXPECT_EQ(BackoffDelay(20, initial, cap, 1.0).count(), 200);
+  // jitter draws scale into [0.5, 1.0)x, never above the cap.
+  for (double j : {0.0, 0.25, 0.99}) {
+    for (int attempt : {0, 2, 8, 30}) {
+      const auto d = BackoffDelay(attempt, initial, cap, j);
+      EXPECT_GE(d.count(), 2);
+      EXPECT_LE(d.count(), 200);
+    }
+  }
+  // Same inputs, same delay: retry schedules are replayable.
+  EXPECT_EQ(BackoffDelay(4, initial, cap, 0.7),
+            BackoffDelay(4, initial, cap, 0.7));
 }
 
 TEST(FaultInjectorTest, FiresAtExactOccurrences) {
