@@ -411,7 +411,8 @@ TEST_F(FaultToleranceTest, EveryProperPrefixIsRejectedAsIOError) {
   EXPECT_EQ(wrong, 0u);
 }
 
-/// Appends `v`'s bytes, low byte first.
+/// Appends `v`'s bytes in host order, which util/bytes.h requires to be
+/// little-endian.
 template <typename T>
 void Append(std::string* out, T v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));

@@ -1020,6 +1020,11 @@ TEST(ByteCodecTest, FilesRoundTripAndMissingIsNotFound) {
             StatusCode::kNotFound);
   EXPECT_EQ(WriteFile((dir / "no_dir" / "blob").string(), bytes).code(),
             StatusCode::kIOError);
+  // A rename that fails (over a directory) leaves no tmp file behind.
+  std::filesystem::create_directories(dir / "a_dir");
+  EXPECT_EQ(ReplaceFile((dir / "a_dir").string(), bytes).code(),
+            StatusCode::kIOError);
+  EXPECT_FALSE(std::filesystem::exists(dir / "a_dir.tmp"));
   std::filesystem::remove_all(dir);
 }
 
