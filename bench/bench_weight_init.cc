@@ -16,14 +16,17 @@
 //           256 values) into touched memory, in a fresh child process, on
 //           one CPU and on every allowed CPU: CPU and wall time;
 //   model   GPTModel(ServingConfig(), Rng(3)) alone, in a fresh child
-//           process: the wall time, CPU (user + sys, every thread) and
-//           minor faults of the build itself, without the process's start
-//           or the server's;
+//           process: the wall time, CPU (user + sys, every thread, and
+//           each of the two, from getrusage) and minor faults of the build
+//           itself, without the process's start or the server's;
 //   cold    GPTModel(ServingConfig(), Rng(3)) plus InferenceServer::Start()
-//           in a fresh child process: its CPU (user + sys) and minor
-//           faults from wait4, the wall time from spawn to its ready line,
-//           and the server's share, the wall time from the built model to
-//           Start() returning, which the child reports on that line;
+//           in a fresh child process: its CPU (user + sys, and each of the
+//           two) and minor faults from wait4, the wall time from spawn to
+//           its ready line, and the server's share, the wall time from the
+//           built model to Start() returning, which the child reports on
+//           that line. Linux splits a thread's CPU time into user and
+//           sys in the ratio of its sampled ticks, so over a child of a
+//           few tens of ms the split is coarser than the sum;
 //   spin    how many CPUs the host delivered in each round: a fixed
 //           integer spin timed on one thread, then split evenly into one
 //           share per allowed CPU, in wall time, unplaced (a new thread a
@@ -119,6 +122,11 @@ cpu_set_t AllowedSet() {
   return set;
 }
 
+double Ms(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) * 1e3 +
+         static_cast<double>(tv.tv_usec) / 1e3;
+}
+
 // One child mode: writes its result line to stdout.
 int RunChild(const std::string& mode) {
   if (mode == "cold") {
@@ -135,14 +143,14 @@ int RunChild(const std::string& mode) {
   if (mode == "model") {
     rusage before{}, after{};
     getrusage(RUSAGE_SELF, &before);
-    const double cpu0 = NowNs(CLOCK_PROCESS_CPUTIME_ID);
     const double wall0 = NowNs(CLOCK_MONOTONIC);
     Rng rng(3);
     const llm::nn::GPTModel model(llm::serve::ServingConfig(), &rng);
     const double wall = NowNs(CLOCK_MONOTONIC) - wall0;
-    const double cpu = NowNs(CLOCK_PROCESS_CPUTIME_ID) - cpu0;
     getrusage(RUSAGE_SELF, &after);
-    std::printf("%.4f %.4f %ld\n", wall / 1e6, cpu / 1e6,
+    std::printf("%.4f %.4f %.4f %ld\n", wall / 1e6,
+                Ms(after.ru_utime) - Ms(before.ru_utime),
+                Ms(after.ru_stime) - Ms(before.ru_stime),
                 after.ru_minflt - before.ru_minflt);
     return 0;
   }
@@ -188,7 +196,8 @@ struct ChildRun {
   bool ok = false;
   std::string out;
   double wall_ms = 0.0;
-  double cpu_ms = 0.0;
+  double user_ms = 0.0;
+  double sys_ms = 0.0;
   long minor_faults = 0;
 };
 
@@ -221,11 +230,8 @@ ChildRun Spawn(const std::string& binary, const std::string& mode) {
   int status = 0;
   rusage usage{};
   if (wait4(pid, &status, 0, &usage) != pid) return run;
-  const auto ms = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) * 1e3 +
-           static_cast<double>(tv.tv_usec) / 1e3;
-  };
-  run.cpu_ms = ms(usage.ru_utime) + ms(usage.ru_stime);
+  run.user_ms = Ms(usage.ru_utime);
+  run.sys_ms = Ms(usage.ru_stime);
   run.minor_faults = usage.ru_minflt;
   run.ok = WIFEXITED(status) && WEXITSTATUS(status) == 0 && !run.out.empty();
   return run;
@@ -237,8 +243,11 @@ struct Contestant {
   std::string binary;
   std::string sha;
   std::vector<double> fill[4];  // one CPU cpu/wall, all CPUs cpu/wall
-  std::vector<double> model[3];  // wall ms, cpu ms, minor faults
-  std::vector<double> cold_cpu_ms, cold_wall_ms, cold_faults, cold_server_ms;
+  // Each in ms, but for the faults: wall, CPU (user + sys), user, sys and
+  // minor faults.
+  std::vector<double> model[5];
+  std::vector<double> cold[5];
+  std::vector<double> cold_server_ms;
   int failures = 0;
 
   void Round() {
@@ -252,21 +261,25 @@ struct Contestant {
     }
     for (int i = 0; i < 4; ++i) fill[i].push_back(v[i]);
     const ChildRun model_run = Spawn(binary, "model");
-    if (!model_run.ok || std::sscanf(model_run.out.c_str(), "%lf %lf %lf",
-                                     &v[0], &v[1], &v[2]) != 3) {
-      std::fill(v, v + 3, kFailed);
+    double m[4] = {};  // wall, user, sys, faults
+    if (!model_run.ok || std::sscanf(model_run.out.c_str(), "%lf %lf %lf %lf",
+                                     &m[0], &m[1], &m[2], &m[3]) != 4) {
+      std::fill(m, m + 4, kFailed);
       ++failures;
     }
-    for (int i = 0; i < 3; ++i) model[i].push_back(v[i]);
-    const ChildRun cold = Spawn(binary, "cold");
+    const double model_row[5] = {m[0], m[1] + m[2], m[1], m[2], m[3]};
+    for (int i = 0; i < 5; ++i) model[i].push_back(model_row[i]);
+    const ChildRun run = Spawn(binary, "cold");
     double server_ms = kFailed;
     const bool cold_ok =
-        cold.ok && std::sscanf(cold.out.c_str(), "%lf", &server_ms) == 1;
+        run.ok && std::sscanf(run.out.c_str(), "%lf", &server_ms) == 1;
     failures += !cold_ok;
-    cold_cpu_ms.push_back(cold_ok ? cold.cpu_ms : kFailed);
-    cold_wall_ms.push_back(cold_ok ? cold.wall_ms : kFailed);
-    cold_faults.push_back(
-        cold_ok ? static_cast<double>(cold.minor_faults) : kFailed);
+    const double cold_row[5] = {run.wall_ms, run.user_ms + run.sys_ms,
+                                run.user_ms, run.sys_ms,
+                                static_cast<double>(run.minor_faults)};
+    for (int i = 0; i < 5; ++i) {
+      cold[i].push_back(cold_ok ? cold_row[i] : kFailed);
+    }
     cold_server_ms.push_back(cold_ok ? server_ms : kFailed);
   }
 };
@@ -458,19 +471,18 @@ void PrintContestant(FILE* out, const Contestant& c) {
     if (i > 0) std::fputc(',', out);
     PrintQuartiles(out, fill_keys[i], Summarize(c.fill[i]));
   }
+  const char* keys[5] = {"wall_ms", "cpu_ms", "user_ms", "sys_ms",
+                         "minor_faults"};
   std::fprintf(out, "},\"model\":{");
-  PrintQuartiles(out, "wall_ms", Summarize(c.model[0]));
-  std::fputc(',', out);
-  PrintQuartiles(out, "cpu_ms", Summarize(c.model[1]));
-  std::fputc(',', out);
-  PrintQuartiles(out, "minor_faults", Summarize(c.model[2]));
+  for (int i = 0; i < 5; ++i) {
+    if (i > 0) std::fputc(',', out);
+    PrintQuartiles(out, keys[i], Summarize(c.model[i]));
+  }
   std::fprintf(out, "},\"cold\":{");
-  PrintQuartiles(out, "cpu_ms", Summarize(c.cold_cpu_ms));
-  std::fputc(',', out);
-  PrintQuartiles(out, "wall_ms", Summarize(c.cold_wall_ms));
-  std::fputc(',', out);
-  PrintQuartiles(out, "minor_faults", Summarize(c.cold_faults));
-  std::fputc(',', out);
+  for (int i = 0; i < 5; ++i) {
+    PrintQuartiles(out, keys[i], Summarize(c.cold[i]));
+    std::fputc(',', out);
+  }
   PrintQuartiles(out, "server_ms", Summarize(c.cold_server_ms));
   std::fprintf(out, "}}");
 }
@@ -601,14 +613,15 @@ int main(int argc, char** argv) {
     std::fputc(',', out);
     PrintWins(out, "all_cpus_fill_wall", sides[0].fill[3], sides[1].fill[3]);
     std::fputc(',', out);
-    PrintWins(out, "model_wall", sides[0].model[0], sides[1].model[0]);
-    std::fputc(',', out);
-    PrintWins(out, "model_cpu", sides[0].model[1], sides[1].model[1]);
-    std::fputc(',', out);
-    PrintWins(out, "cold_cpu", sides[0].cold_cpu_ms, sides[1].cold_cpu_ms);
-    std::fputc(',', out);
-    PrintWins(out, "cold_wall", sides[0].cold_wall_ms, sides[1].cold_wall_ms);
-    std::fputc(',', out);
+    const char* rows[4] = {"wall", "cpu", "user", "sys"};
+    for (int i = 0; i < 4; ++i) {
+      PrintWins(out, ("model_" + std::string(rows[i])).c_str(),
+                sides[0].model[i], sides[1].model[i]);
+      std::fputc(',', out);
+      PrintWins(out, ("cold_" + std::string(rows[i])).c_str(),
+                sides[0].cold[i], sides[1].cold[i]);
+      std::fputc(',', out);
+    }
     PrintWins(out, "cold_server", sides[0].cold_server_ms,
               sides[1].cold_server_ms);
     std::fputc('}', out);
@@ -630,22 +643,23 @@ int main(int argc, char** argv) {
       placed_cpus.q1, placed_cpus.q3);
   for (const Contestant& c : sides) {
     const Quartiles one = Summarize(c.fill[0]), all = Summarize(c.fill[3]);
-    const Quartiles model_wall = Summarize(c.model[0]);
-    const Quartiles model_cpu = Summarize(c.model[1]);
-    const Quartiles model_faults = Summarize(c.model[2]);
-    const Quartiles cpu = Summarize(c.cold_cpu_ms);
-    const Quartiles wall = Summarize(c.cold_wall_ms);
-    const Quartiles faults = Summarize(c.cold_faults);
+    Quartiles model[5], cold[5];
+    for (int i = 0; i < 5; ++i) {
+      model[i] = Summarize(c.model[i]);
+      cold[i] = Summarize(c.cold[i]);
+    }
     const Quartiles server = Summarize(c.cold_server_ms);
     std::printf(
         "%s: fill %.3f ns/pair on one CPU, %.3f wall on all; model %.1f ms "
-        "wall (q1 %.1f, q3 %.1f), %.1f ms CPU, %.0f faults; cold set-up "
-        "%.1f ms CPU (q1 %.1f, q3 %.1f), %.1f ms wall, %.0f faults, server "
-        "%.2f ms (q1 %.2f, q3 %.2f); %d failed children\n",
-        c.sha.c_str(), one.median, all.median, model_wall.median,
-        model_wall.q1, model_wall.q3, model_cpu.median, model_faults.median,
-        cpu.median, cpu.q1, cpu.q3, wall.median, faults.median, server.median,
-        server.q1, server.q3, c.failures);
+        "wall (q1 %.1f, q3 %.1f), %.1f ms CPU (%.1f user, %.1f sys), %.0f "
+        "faults; cold set-up %.1f ms CPU (q1 %.1f, q3 %.1f; %.1f user, %.1f "
+        "sys), %.1f ms wall, %.0f faults, server %.2f ms (q1 %.2f, q3 "
+        "%.2f); %d failed children\n",
+        c.sha.c_str(), one.median, all.median, model[0].median, model[0].q1,
+        model[0].q3, model[1].median, model[2].median, model[3].median,
+        model[4].median, cold[1].median, cold[1].q1, cold[1].q3,
+        cold[2].median, cold[3].median, cold[0].median, cold[4].median,
+        server.median, server.q1, server.q3, c.failures);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return checked ? 0 : 1;

@@ -18,9 +18,9 @@ namespace {
 // the kernel grants huge pages is its own setting; the values never depend
 // on it.
 void AdviseHugePages(void* p, size_t bytes) {
-  const util::HugePages whole = util::WholeHugePages(p, bytes);
-  if (whole.count > 0) {
-    madvise(reinterpret_cast<void*>(whole.begin), whole.count * util::kHugePage,
+  const util::Pages whole = util::WholePages(p, bytes, util::kHugePage);
+  if (whole.begin < whole.end) {
+    madvise(reinterpret_cast<void*>(whole.begin), whole.end - whole.begin,
             MADV_HUGEPAGE);
   }
 }

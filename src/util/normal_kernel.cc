@@ -1,12 +1,26 @@
 // The per-pair work behind Rng::FillNormal (see normal_kernel.h): the lane
 // draws, the Box–Muller kernel, the rounding check and the stores.
 //
-// Each stage's loop is plain arithmetic GCC can vectorize: no libm call,
-// no int64 <-> double conversion, and no branch but selects. This is the
-// only file built with -fno-math-errno (so std::sqrt becomes one
-// instruction) and -fno-trapping-math (so the selects become blends); the
-// bodies are built three times, for the baseline target, for AVX2 with
-// FMA and for AVX-512 with FMA, and InUse() picks once by CPUID.
+// Each stage's loop is plain arithmetic GCC can vectorize: no libm call
+// and no branch but selects. This is the only file built with
+// -fno-math-errno (so std::sqrt becomes one instruction) and
+// -fno-trapping-math (so the selects become blends); the bodies are built
+// three times, for the baseline target, for AVX2 with FMA and for AVX-512
+// F and DQ with FMA, and InUse() picks once by CPUID. Only the AVX-512
+// copy converts int64 to double (DQ's vcvtqq2pd): the baseline and AVX2
+// targets have no vector 64-bit conversion, so their loops hold none.
+// tests/normal_kernel_vectorizes.cmake fails when a loop stops
+// vectorizing in any copy.
+//
+// The log, sin and cos polynomials are fdlibm's minimax fits, with the
+// coefficients of its e_log.c, k_sin.c and k_cos.c, under this notice:
+//
+//   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//
+//   Developed at SunSoft, a Sun Microsystems, Inc. business.
+//   Permission to use, copy, modify, and distribute this
+//   software is freely granted, provided that this notice
+//   is preserved.
 //
 // The lanes step through XoshiroNext on 32- and 64-byte vectors, which GCC
 // notes would be returned differently with and without AVX and AVX-512.
@@ -44,19 +58,52 @@ constexpr double kTwoOverPi = 6.36619772367581382433e-01;
 // Adding this rounds |x| < 2^51 to an integer held in the low mantissa bits.
 constexpr double kRoundMagic = 0x1.8p52;
 
-// (x >> 11) * 2^-53, exactly, as Rng's ToUnit: the top 52 of the 53 bits
-// as a [1, 2) mantissa minus one, plus the last bit's 2^-53. The sum has
-// 53 significant bits, so it is exact too.
+// fdlibm's coefficients, each beside its bit pattern. With z = t^2,
+// 2t + t z (Lg1 + z Lg2 + ... + z^6 Lg7) is log((1 + t) / (1 - t)) =
+// 2 atanh(t) within 2^-58.45 for |t| <= 0.1716 (e_log.c). With z = r^2,
+// r + r z (S1 + z S2 + ... + z^5 S6) is sin r within 2^-58 relative
+// (k_sin.c), and 1 - z/2 + z^2 (C1 + z C2 + ... + z^5 C6) is cos r within
+// 2^-58 (k_cos.c), for |r| <= pi/4.
+constexpr double kLg1 = 6.666666666666735130e-01;   // 3FE55555 55555593
+constexpr double kLg2 = 3.999999999940941908e-01;   // 3FD99999 9997FA04
+constexpr double kLg3 = 2.857142874366239149e-01;   // 3FD24924 94229359
+constexpr double kLg4 = 2.222219843214978396e-01;   // 3FCC71C5 1D8E78AF
+constexpr double kLg5 = 1.818357216161805012e-01;   // 3FC74664 96CB03DE
+constexpr double kLg6 = 1.531383769920937332e-01;   // 3FC39A09 D078C69F
+constexpr double kLg7 = 1.479819860511658591e-01;   // 3FC2F112 DF3E5244
+constexpr double kS1 = -1.66666666666666324348e-01;  // BFC55555 55555549
+constexpr double kS2 = 8.33333333332248946124e-03;   // 3F811111 1110F8A6
+constexpr double kS3 = -1.98412698298579493134e-04;  // BF2A01A0 19C161D5
+constexpr double kS4 = 2.75573137070700676789e-06;   // 3EC71DE3 57B1FE7D
+constexpr double kS5 = -2.50507602534068634195e-08;  // BE5AE5E6 8A2B9CEB
+constexpr double kS6 = 1.58969099521155010221e-10;   // 3DE5D93A 5ACFD57C
+constexpr double kC1 = 4.16666666666666019037e-02;   // 3FA55555 5555554C
+constexpr double kC2 = -1.38888888888741095749e-03;  // BF56C16C 16C15177
+constexpr double kC3 = 2.48015872894767294178e-05;   // 3EFA01A0 19CB1590
+constexpr double kC4 = -2.75573143513906633035e-07;  // BE927E4F 809C52AD
+constexpr double kC5 = 2.08757232129817482790e-09;   // 3E21EE9E BDB4B1C4
+constexpr double kC6 = -1.13596475577881948265e-11;  // BDA8FAE9 BE8838D4
+
+// (x >> 11) * 2^-53, exactly, as Rng's ToUnit. With a vector int64 to
+// double conversion (kConvert) it is Rng's own expression, exact since the
+// integer is below 2^53. Without one, the top 52 of the 53 bits go in as a
+// [1, 2) mantissa minus one, plus the last bit's 2^-53; the sum has 53
+// significant bits, so it is exact too.
+template <bool kConvert>
 [[gnu::always_inline]] inline double ToUnit(uint64_t x) {
   const uint64_t m = x >> 11;
-  const double hi = std::bit_cast<double>(kOneBits | (m >> 1)) - 1.0;
-  const double lo = std::bit_cast<double>((0 - (m & 1)) & kTwoToMinus53Bits);
-  return hi + lo;
+  if constexpr (kConvert) {
+    return static_cast<double>(static_cast<int64_t>(m)) * 0x1p-53;
+  } else {
+    const double hi = std::bit_cast<double>(kOneBits | (m >> 1)) - 1.0;
+    const double lo = std::bit_cast<double>((0 - (m & 1)) & kTwoToMinus53Bits);
+    return hi + lo;
+  }
 }
 
 // log(u) for u in [2^-53, 1]: u = 2^e * f with f in [sqrt(1/2), sqrt(2)],
-// log f = 2 atanh(t), t = (f - 1) / (f + 1), |t| <= 0.1716, by its series
-// through t^19 (the next term is below 2^-55 relative).
+// log f = 2 atanh(t), t = (f - 1) / (f + 1), |t| <= 0.1716, by fdlibm's
+// polynomial.
 [[gnu::always_inline]] inline double Log(double u) {
   const uint64_t bits = std::bit_cast<uint64_t>(u);
   double e = std::bit_cast<double>(kTwoTo52Bits | (bits >> 52)) -
@@ -66,53 +113,31 @@ constexpr double kRoundMagic = 0x1.8p52;
   f = high ? f * 0.5 : f;
   e = high ? e + 1.0 : e;
   const double t = (f - 1.0) / (f + 1.0);
-  const double t2 = t * t;
-  const double p =
-      t2 * (1.0 / 3 +
-            t2 * (1.0 / 5 +
-                  t2 * (1.0 / 7 +
-                        t2 * (1.0 / 9 +
-                              t2 * (1.0 / 11 +
-                                    t2 * (1.0 / 13 +
-                                          t2 * (1.0 / 15 +
-                                                t2 * (1.0 / 17 +
-                                                      t2 * (1.0 / 19)))))))));
-  const double two_t = 2.0 * t;
-  return e * kLn2Hi + ((two_t + two_t * p) + e * kLn2Lo);
+  const double z = t * t;
+  const double r =
+      z * (kLg1 +
+           z * (kLg2 +
+                z * (kLg3 + z * (kLg4 + z * (kLg5 + z * (kLg6 + z * kLg7))))));
+  return e * kLn2Hi + ((2.0 * t + t * r) + e * kLn2Lo);
 }
 
 // cos and sin of theta in [0, 2 pi): theta = k pi/2 + r, |r| <= pi/4, by
 // Cody–Waite reduction with three parts of pi/2 (so r keeps its relative
-// accuracy next to pi/2, pi and 3 pi/2), Taylor polynomials for sin r
-// through r^15 and cos r through r^16, and the quadrant's swap and signs
-// as bit operations.
+// accuracy next to pi/2, pi and 3 pi/2), fdlibm's polynomials for sin r
+// and cos r, and the quadrant's swap and signs as bit operations.
 [[gnu::always_inline]] inline void SinCos(double theta, double* cos_out,
                                           double* sin_out) {
   const double shifted = theta * kTwoOverPi + kRoundMagic;
   const double k = shifted - kRoundMagic;
   const uint64_t q = std::bit_cast<uint64_t>(shifted) & 3;
   const double r = ((theta - k * kPio2A) - k * kPio2B) - k * kPio2C;
-  const double r2 = r * r;
+  const double z = r * r;
   const double s =
-      r + r * r2 *
-              (-1.0 / 6 +
-               r2 * (1.0 / 120 +
-                     r2 * (-1.0 / 5040 +
-                           r2 * (1.0 / 362880 +
-                                 r2 * (-1.0 / 39916800 +
-                                       r2 * (1.0 / 6227020800 +
-                                             r2 * (-1.0 / 1307674368000)))))));
+      r + r * z *
+              (kS1 + z * (kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)))));
   const double c =
-      1.0 +
-      r2 * (-1.0 / 2 +
-            r2 * (1.0 / 24 +
-                  r2 * (-1.0 / 720 +
-                        r2 * (1.0 / 40320 +
-                              r2 * (-1.0 / 3628800 +
-                                    r2 * (1.0 / 479001600 +
-                                          r2 * (-1.0 / 87178291200 +
-                                                r2 * (1.0 /
-                                                      20922789888000))))))));
+      1.0 - 0.5 * z +
+      z * z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
   // Odd quadrants swap sin and cos; cos is negated in quadrants 1 and 2,
   // sin in 2 and 3 (bit 1 of q + 1, or of q, shifted to the sign bit).
   const uint64_t swap = 0 - (q & 1);
@@ -124,13 +149,15 @@ constexpr double kRoundMagic = 0x1.8p52;
   *sin_out = std::bit_cast<double>(sin_bits);
 }
 
-// The one kernel body, inlined into each target's copy below.
+// The one kernel body, inlined into each target's copy below; kConvert
+// picks ToUnit's form.
+template <bool kConvert>
 [[gnu::always_inline]] inline void Body(const uint64_t* a, const uint64_t* b,
                                         size_t pairs, double* z0,
                                         double* z1) {
   for (size_t i = 0; i < pairs; ++i) {
-    const double u1 = 1.0 - ToUnit(a[i]);
-    const double theta = 2.0 * M_PI * ToUnit(b[i]);
+    const double u1 = 1.0 - ToUnit<kConvert>(a[i]);
+    const double theta = 2.0 * M_PI * ToUnit<kConvert>(b[i]);
     const double radius = std::sqrt(-2.0 * Log(u1));
     double c = 0.0, s = 0.0;
     SinCos(theta, &c, &s);
@@ -221,7 +248,7 @@ constexpr size_t kRows = 16;
 // pairs run through the stages lane-minor, and each lane's floats are then
 // copied to its own chunk; a pair the check refused is redone by
 // ExactPair, from the draws the block still holds.
-template <typename V>
+template <typename V, bool kConvert>
 [[gnu::always_inline]] inline void RowsBody(LaneStates* states, size_t lanes,
                                             size_t begin, size_t end,
                                             float* out, double mean,
@@ -233,7 +260,7 @@ template <typename V>
     const size_t m = std::min(kRows, end - p);
     const size_t n = m * lanes;
     DrawBody<V>(states, lanes, m, a, b);
-    Body(a, b, n, z0, z1);
+    Body<kConvert>(a, b, n, z0, z1);
     const bool all_kept = CheckBody(z0, z1, n, mean, stddev, f);
     for (size_t j = 0; j < lanes; ++j) {
       float* o = out + 2 * (j * kChunkPairs + p);
@@ -254,28 +281,29 @@ template <typename V>
 
 // The Claim stage: the pairs every lane has, then the rest of the whole
 // lanes, with the last lane's state put back where its pairs end.
-template <typename V>
+template <typename V, bool kConvert>
 [[gnu::always_inline]] inline void ClaimBody(LaneStates* states, size_t lanes,
                                              size_t last_pairs, float* out,
                                              double mean, double stddev) {
-  RowsBody<V>(states, lanes, 0, last_pairs, out, mean, stddev);
+  RowsBody<V, kConvert>(states, lanes, 0, last_pairs, out, mean, stddev);
   if (lanes == 1) return;
   uint64_t last[4];
   for (int w = 0; w < 4; ++w) last[w] = states->s[w][lanes - 1];
-  RowsBody<V>(states, lanes - 1, last_pairs, kChunkPairs, out, mean, stddev);
+  RowsBody<V, kConvert>(states, lanes - 1, last_pairs, kChunkPairs, out, mean,
+                        stddev);
   for (int w = 0; w < 4; ++w) states->s[w][lanes - 1] = last[w];
 }
 
 // One copy's four entry points, each an inlined body, under `attrs`, with
-// its lanes in vectors of type V.
-#define TFMR_NORMAL_KERNEL_COPY(name, V, attrs)                              \
+// its lanes in vectors of type V, converting int64 to double if `convert`.
+#define TFMR_NORMAL_KERNEL_COPY(name, V, convert, attrs)                     \
   attrs void name##Draws(LaneStates* states, size_t lanes, size_t pairs,    \
                          uint64_t* a, uint64_t* b) {                        \
     DrawBody<V>(states, lanes, pairs, a, b);                                \
   }                                                                         \
   attrs void name##Kernel(const uint64_t* a, const uint64_t* b,             \
                           size_t pairs, double* z0, double* z1) {           \
-    Body(a, b, pairs, z0, z1);                                              \
+    Body<convert>(a, b, pairs, z0, z1);                                     \
   }                                                                         \
   attrs bool name##Check(const double* z0, const double* z1, size_t pairs,  \
                          double mean, double stddev, float* out) {          \
@@ -283,14 +311,15 @@ template <typename V>
   }                                                                         \
   attrs void name##Claim(LaneStates* states, size_t lanes, size_t last_pairs, \
                          float* out, double mean, double stddev) {          \
-    ClaimBody<V>(states, lanes, last_pairs, out, mean, stddev);             \
+    ClaimBody<V, convert>(states, lanes, last_pairs, out, mean, stddev);    \
   }
 
-TFMR_NORMAL_KERNEL_COPY(Baseline, Words2, )
+TFMR_NORMAL_KERNEL_COPY(Baseline, Words2, false, )
 
 #if defined(__x86_64__) || defined(__i386__)
-TFMR_NORMAL_KERNEL_COPY(Avx2Fma, Words4, [[gnu::target("avx2,fma")]])
-TFMR_NORMAL_KERNEL_COPY(Avx512Fma, Words8, [[gnu::target("avx512f,fma")]])
+TFMR_NORMAL_KERNEL_COPY(Avx2Fma, Words4, false, [[gnu::target("avx2,fma")]])
+TFMR_NORMAL_KERNEL_COPY(Avx512Fma, Words8, true,
+                        [[gnu::target("avx512f,avx512dq,fma")]])
 
 bool HasAvx2Fma() {
   __builtin_cpu_init();
@@ -299,7 +328,8 @@ bool HasAvx2Fma() {
 
 bool HasAvx512Fma() {
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("fma");
 }
 #endif
 
@@ -314,8 +344,8 @@ std::span<const Copy> Copies() {
            &BaselineClaim, true},
       Copy{"avx2,fma", &Avx2FmaDraws, &Avx2FmaKernel, &Avx2FmaCheck,
            &Avx2FmaClaim, HasAvx2Fma()},
-      Copy{"avx512f,fma", &Avx512FmaDraws, &Avx512FmaKernel, &Avx512FmaCheck,
-           &Avx512FmaClaim, HasAvx512Fma()}};
+      Copy{"avx512f,avx512dq,fma", &Avx512FmaDraws, &Avx512FmaKernel,
+           &Avx512FmaCheck, &Avx512FmaClaim, HasAvx512Fma()}};
 #else
   static const std::array<Copy, 1> copies = {
       Copy{"baseline", &BaselineDraws, &BaselineKernel, &BaselineCheck,

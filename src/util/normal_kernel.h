@@ -6,7 +6,14 @@
 // raw xoshiro pairs, and keeps a kernel value only when a rounding check
 // proves it rounds to the float `static_cast<float>(Normal(mean, stddev))`
 // gives; the pair is recomputed with libm otherwise. The kernel is
-// accurate to about 2^-50 relative, not bit-exact.
+// accurate to about 2^-50 relative, not bit-exact: it takes log, sin and
+// cos by fdlibm's minimax polynomials (e_log.c, k_sin.c, k_cos.c), which
+// are within 2^-59.3, 2^-57.8 and 2^-59.3 of them over their whole ranges,
+// so rounding sets its error. It is compiled three times (normal_kernel.cc):
+// for the baseline target, for avx2,fma and for avx512f,avx512dq,fma. The
+// baseline and AVX2 copies hold no int64 <-> double conversion, which
+// their targets have no vector form of; the AVX-512 copy converts its
+// uniforms with AVX-512DQ's.
 #ifndef TFMR_UTIL_NORMAL_KERNEL_H_
 #define TFMR_UTIL_NORMAL_KERNEL_H_
 
@@ -58,10 +65,11 @@ using Draws = void (*)(LaneStates* states, size_t lanes, size_t pairs,
                        uint64_t* a, uint64_t* b);
 
 /// For i < pairs, writes the Box–Muller pair of the raw draws a[i], b[i]
-/// (u1 = 1 - (a >> 11) * 2^-53, u2 = (b >> 11) * 2^-53, as in Normal())
-/// to z0[i] = r cos(2 pi u2) and z1[i] = r sin(2 pi u2),
-/// r = sqrt(-2 log u1). Each value is within 2^-46 of libm's, relative,
-/// and exactly zero where libm's is.
+/// (u1 = 1 - (a >> 11) * 2^-53, u2 = (b >> 11) * 2^-53, as in Normal(),
+/// and bit for bit the same doubles in every copy) to z0[i] =
+/// r cos(2 pi u2) and z1[i] = r sin(2 pi u2), r = sqrt(-2 log u1). Each
+/// value is within 2^-46 of libm's, relative, and exactly zero where
+/// libm's is.
 using Kernel = void (*)(const uint64_t* a, const uint64_t* b, size_t pairs,
                         double* z0, double* z1);
 

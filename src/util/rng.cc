@@ -70,21 +70,39 @@ struct Part {
   size_t first_claim;  // the run's claim 0, numbered likewise
 };
 
-// Faults in pages [first, last) of `pages`, numbered across the list in
-// order, writable, without reading or writing them: MADV_POPULATE_WRITE
-// (Linux 5.14). An older kernel's EINVAL leaves the faults to the fill.
-void Populate(const std::vector<HugePages>& pages, size_t first, size_t last) {
-  size_t base = 0;
-  for (const HugePages& range : pages) {
-    const size_t lo = std::max(first, base);
-    const size_t hi = std::min(last, base + range.count);
-    if (lo < hi) {
-      madvise(reinterpret_cast<void*>(range.begin + (lo - base) * kHugePage),
-              (hi - lo) * kHugePage, MADV_POPULATE_WRITE);
-    }
-    base += range.count;
+// The whole pages of one size inside a span fill's outputs, in output
+// order, which the team faults in share by share.
+struct PageList {
+  explicit PageList(size_t page_bytes) : page(page_bytes) {}
+
+  size_t page;  // bytes a page
+  std::vector<Pages> runs;
+  size_t count = 0;  // pages over all runs
+
+  void Add(uintptr_t begin, uintptr_t end) {
+    if (begin == end) return;
+    runs.push_back({begin, end});
+    count += (end - begin) / page;
   }
-}
+
+  // Faults in share s of `shares`, the pages [s * count / shares, (s + 1) *
+  // count / shares) numbered across the runs, writable, without reading or
+  // writing them: MADV_POPULATE_WRITE (Linux 5.14). An older kernel's
+  // EINVAL leaves the faults to the fill.
+  void Populate(size_t s, size_t shares) const {
+    const size_t first = s * count / shares, last = (s + 1) * count / shares;
+    size_t base = 0;
+    for (const Pages& run : runs) {
+      const size_t n = (run.end - run.begin) / page;
+      const size_t lo = std::max(first, base), hi = std::min(last, base + n);
+      if (lo < hi) {
+        madvise(reinterpret_cast<void*>(run.begin + (lo - base) * page),
+                (hi - lo) * page, MADV_POPULATE_WRITE);
+      }
+      base += n;
+    }
+  }
+};
 
 }  // namespace
 
@@ -171,22 +189,24 @@ double Rng::Normal() {
 }
 
 // Every output is planned first: its head, run and tail, its chunks and
-// claims, and the whole huge pages inside it. A claim is kLanes
-// consecutive chunks of one run (fewer at a run's end), which the in-use
-// copy fills side by side, one lane each; chunk k of a run starts k *
-// kChunkPairs pairs into it. The team is one Run on a WorkerPool of one
-// lane per allowed CPU, up to one a claim: the caller is lane 0, and the
-// pool places each other lane on its own CPU, so that a host which starts
-// every new thread on one CPU still runs the team side by side. Members
-// take claims from one atomic counter, so a stalled thread delays only the
-// claim it holds. Member m >= 1 first faults in its share of the huge
-// pages, page-disjoint from every other member's. Member 0, which Run
-// hands out first, meanwhile publishes every chunk's start in stream
-// order, reaching the next by JumpChunk (a walk of the last partial chunk
-// of each run), writes each head and draws each tail, and then faults in
-// the last share, which the claims reach last, before it claims. A span
-// of up to one claim's pairs runs on the caller alone; a thread that
-// fails to start just leaves fewer lanes to split the pages and claims.
+// claims, the whole huge pages inside it, and its whole 4 KiB pages outside
+// those. A claim is kLanes consecutive chunks of one run (fewer at a run's
+// end), which the in-use copy fills side by side, one lane each; chunk k
+// of a run starts k * kChunkPairs pairs into it. The team is one RunLast
+// on a WorkerPool of one lane per allowed CPU, up to one a claim: the
+// caller is lane 0, and the pool places each other lane on its own CPU, so
+// that a host which starts every new thread on one CPU still runs the team
+// side by side. Members take claims from one atomic counter, so a stalled
+// thread delays only the claim it holds. Member m >= 1 first faults in its
+// share of the huge pages and then its share of the 4 KiB pages, each
+// split by page count and disjoint from every other member's. Member 0,
+// which RunLast hands out first, meanwhile publishes every chunk's start
+// in stream order, reaching the next by JumpChunk (a walk of the last
+// partial chunk of each run), writes each head and draws each tail, and
+// then faults in the last share of each, which the claims reach last,
+// before it claims. A span of up to one claim's pairs runs on the caller
+// alone; a thread that fails to start just leaves fewer lanes to split the
+// pages and claims.
 void Rng::FillNormal(std::span<const NormalFill> fills) {
   // The last output that draws a pair holds the stream's last pair.
   bool pending = have_cached_normal_;
@@ -199,8 +219,8 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
     pending = (n - pending) % 2 != 0;
   }
   std::vector<Part> parts;
-  std::vector<HugePages> pages;
-  size_t chunks = 0, claims = 0, run_pairs = 0, page_count = 0;
+  PageList huge_pages{kHugePage}, small_pages{kPage};
+  size_t chunks = 0, claims = 0, run_pairs = 0;
   pending = have_cached_normal_;
   for (size_t i = 0; i < fills.size(); ++i) {
     const NormalFill& f = fills[i];
@@ -213,9 +233,16 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
     claims += (run_chunks + kLanes - 1) / kLanes;
     run_pairs += parts.back().pairs;
     pending = tail == 1;
-    const HugePages whole = WholeHugePages(f.out, f.n * sizeof(float));
-    if (whole.count > 0) pages.push_back(whole);
-    page_count += whole.count;
+    const size_t bytes = f.n * sizeof(float);
+    const Pages huge = WholePages(f.out, bytes, kHugePage);
+    const Pages small = WholePages(f.out, bytes, kPage);
+    huge_pages.Add(huge.begin, huge.end);
+    if (huge.begin == huge.end) {
+      small_pages.Add(small.begin, small.end);
+    } else {
+      small_pages.Add(small.begin, huge.begin);
+      small_pages.Add(huge.end, small.end);
+    }
   }
 
   WorkerPool pool(
@@ -286,12 +313,13 @@ void Rng::FillNormal(std::span<const NormalFill> fills) {
       }
     }
   };
-  pool.Run(static_cast<int64_t>(team), [&](int64_t m, int) {
+  pool.RunLast(static_cast<int64_t>(team), [&](int64_t m, int) {
     if (m == 0) publish();
-    // Share s of the P whole huge pages is [s * P / team, (s + 1) * P /
-    // team): member m >= 1 faults in share m - 1, and member 0 the last.
+    // Member m >= 1 faults in share m - 1 of each list, and member 0 the
+    // last.
     const size_t s = (m == 0 ? team : static_cast<size_t>(m)) - 1;
-    Populate(pages, s * page_count / team, (s + 1) * page_count / team);
+    huge_pages.Populate(s, team);
+    small_pages.Populate(s, team);
     claim();
   });
   have_cached_normal_ = pending;

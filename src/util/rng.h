@@ -68,12 +68,15 @@ class Rng {
   /// write, with each output's mean and stddev. One pass over all outputs:
   /// each output's stream is split into chunks, drawn eight at a time side
   /// by side, and a span of more than eight chunks' pairs shares them in
-  /// one Run on a WorkerPool of up to one lane per CPU in the caller's
+  /// one RunLast on a WorkerPool of up to one lane per CPU in the caller's
   /// affinity mask (the caller is lane 0; the pool places each other lane
   /// on its own CPU of that mask), each member of which faults in its own
-  /// share of the whole 2 MiB pages inside the outputs; the values never
-  /// depend on the thread count, on placement or on timing. The caller's
-  /// own affinity mask is left as it was. Outputs must not overlap.
+  /// share of the whole 2 MiB pages inside the outputs, and then of the
+  /// whole 4 KiB pages inside them that lie outside those; the values
+  /// never depend on the thread count, on placement or on timing. The
+  /// fault-in neither reads nor writes, and covers no byte outside an
+  /// output. The caller's own affinity mask is left as it was. Outputs
+  /// must not overlap.
   void FillNormal(std::span<const NormalFill> fills);
 
   /// The one-output FillNormal: what `n` successive

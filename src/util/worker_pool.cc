@@ -82,8 +82,20 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::Run(int64_t n, const std::function<void(int64_t, int)>& fn) {
+  Dispatch(n, fn, /*last=*/false);
+}
+
+void WorkerPool::RunLast(int64_t n,
+                         const std::function<void(int64_t, int)>& fn) {
+  Dispatch(n, fn, /*last=*/true);
+}
+
+void WorkerPool::Dispatch(int64_t n,
+                          const std::function<void(int64_t, int)>& fn,
+                          bool last) {
   if (n <= 0) return;
   std::unique_lock<std::mutex> lock(mu_);
+  LLM_CHECK(!stop_) << "a WorkerPool runs nothing after RunLast";
   // A started lane that woke only after the previous Run returned has
   // copied that Run's cleared fn_ and old n_; let it leave the claim loop
   // before next_ is reset, or it would claim this Run's indices under them.
@@ -92,6 +104,7 @@ void WorkerPool::Run(int64_t n, const std::function<void(int64_t, int)>& fn) {
   n_ = n;
   next_.store(0, std::memory_order_relaxed);
   ++epoch_;
+  stop_ = last;
   lock.unlock();
   work_cv_.notify_all();
   Claim(next_, n, &fn, 0);
@@ -108,7 +121,7 @@ void WorkerPool::WorkerMain(int lane) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-    if (stop_) return;
+    if (epoch_ == seen_epoch) return;  // stopped, with no run left to join
     seen_epoch = epoch_;
     const std::function<void(int64_t, int)>* fn = fn_;
     const int64_t n = n_;

@@ -4,7 +4,8 @@
 // Run(n, fn) hands out indices 0..n-1 in order from one atomic counter and
 // returns once every index is done (a full barrier: the caller reads what
 // the lanes wrote). The caller of Run is lane 0 and claims beside the
-// started threads, so one lane starts no thread. Lanes block between runs.
+// started threads, so one lane starts no thread. Lanes block between runs;
+// after RunLast (a one-run pool's run, as FillNormal's) they end instead.
 //
 // Some hosts run all of a new process's unpinned threads on one CPU and do
 // not balance them; pinning would stop the scheduler from moving a lane off
@@ -52,7 +53,16 @@ class WorkerPool {
   /// throw: an exception on any lane ends the program.
   void Run(int64_t n, const std::function<void(int64_t, int)>& fn);
 
+  /// Run(n, fn) as the pool's last run: each started lane ends its thread
+  /// as soon as it leaves the claim loop, instead of parking until the
+  /// destructor wakes it, so the destructor joins threads that are already
+  /// ending (a parked lane's wake-up is most of a one-run pool's
+  /// tear-down). No Run may follow (checked).
+  void RunLast(int64_t n, const std::function<void(int64_t, int)>& fn);
+
  private:
+  void Dispatch(int64_t n, const std::function<void(int64_t, int)>& fn,
+                bool last);
   void WorkerMain(int lane);
 
   std::vector<std::thread> threads_;
@@ -64,7 +74,7 @@ class WorkerPool {
   int64_t n_ = 0;                                          // guarded by mu_
   int64_t busy_ = 0;  // started lanes inside the claim loop, guarded by mu_
   uint64_t epoch_ = 0;                                     // guarded by mu_
-  bool stop_ = false;                                      // guarded by mu_
+  bool stop_ = false;  // no run follows the current one; guarded by mu_
   std::atomic<int64_t> next_{0};
 };
 

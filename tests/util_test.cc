@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sched.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/fault.h"
+#include "util/huge_pages.h"
 #include "util/linalg.h"
 #include "util/normal_kernel.h"
 #include "util/rng.h"
@@ -253,8 +255,10 @@ double WorstRelativeError(normal_kernel::Kernel kernel,
 // same draws: 2^22 random pairs, then the edges. For u1 = 1 - (a >> 11)
 // 2^-53 those are u1 = 1 (a zero variate) and the next value down, u1 = 1/2
 // and the next value up, the smallest u1, and u1 around sqrt(1/2), where
-// the log's exponent split switches; for u2 = (b >> 11) 2^-53 both ends
-// and theta next to pi/2, pi and 3 pi/2.
+// the log's exponent split switches; for u2 = (b >> 11) 2^-53 both ends,
+// theta next to pi/2, pi and 3 pi/2 (r near 0), and theta next to odd
+// multiples of pi/4, where |r| reaches pi/4, the end of the sin and cos
+// polynomials' range, and the quadrant flips.
 TEST(NormalKernelTest, EveryCopyTracksLibm) {
   const uint64_t mid = static_cast<uint64_t>((1.0 - std::sqrt(0.5)) * 0x1p53);
   std::vector<uint64_t> edge_a = {0, 1, (uint64_t{1} << 52) - 1,
@@ -264,6 +268,11 @@ TEST(NormalKernelTest, EveryCopyTracksLibm) {
   for (uint64_t m : {uint64_t{1} << 51, uint64_t{1} << 52,
                      uint64_t{3} << 51}) {
     for (uint64_t d : {m - 1, m, m + 1}) edge_b.push_back(d);
+  }
+  for (uint64_t m : {1, 3, 5, 7}) {  // u2 next to m / 8
+    for (uint64_t d : {m << 50, (m << 50) - 1, (m << 50) + 1}) {
+      edge_b.push_back(d);
+    }
   }
   std::vector<uint64_t> a, b;
   for (uint64_t ma : edge_a) {
@@ -755,6 +764,128 @@ TEST(RngTest, SpanFillEqualsEachOutputsFillInOrder) {
   }
 }
 
+// One span fill whose outputs lie in one fresh, 2 MiB-aligned mapping, each
+// starting and ending mid-page, so that it shares its first and last 4 KiB
+// page with live sentinel floats. Offsets and sizes are in floats: the
+// outputs hold no whole 4 KiB page (inside one page, and across a page
+// edge), one, 31, and a whole 2 MiB page with three whole 4 KiB pages
+// before it and two after. Every sentinel must keep its bytes, every
+// output must equal its own fill in order, and no page that holds neither
+// an output byte nor a sentinel may become resident: the fault-in covers
+// whole pages inside the outputs only. The mapping is advised
+// MADV_NOHUGEPAGE, so that residency is counted in 4 KiB pages whatever
+// the host's huge-page setting.
+void ExpectSpanFillTouchesOnlyItsOutputs() {
+  constexpr size_t kP = kPage / sizeof(float);
+  constexpr size_t kH = kHugePage / sizeof(float);
+  const std::pair<size_t, size_t> outputs[] = {
+      {kP + 100, 601},
+      {2 * kP + 900, 301},
+      {4 * kP + 1000, kP + 49},
+      {8 * kP + 512, 32 * kP - 212},
+      {kH - 3 * kP - 700, kH + 5 * kP + 750},
+  };
+  constexpr size_t kFloats = 2 * kH + 4 * kP;
+  const size_t mapped = kFloats * sizeof(float) + kHugePage;
+  void* map = mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(map, MAP_FAILED);
+  float* base = reinterpret_cast<float*>(
+      (reinterpret_cast<uintptr_t>(map) + kHugePage - 1) & ~(kHugePage - 1));
+  // EINVAL on a kernel without huge pages, which needs no advice.
+  madvise(base, kFloats * sizeof(float), MADV_NOHUGEPAGE);
+  const auto sentinel = [](size_t i) {
+    return static_cast<float>(i % 4093) - 2000.5f;
+  };
+  // The sentinels: the rest of each output's first and last page.
+  std::vector<std::pair<size_t, size_t>> sentinels;
+  for (const auto& [offset, n] : outputs) {
+    sentinels.emplace_back(offset / kP * kP, offset);
+    sentinels.emplace_back(offset + n, (offset + n + kP - 1) / kP * kP);
+  }
+  for (const auto& [begin, end] : sentinels) {
+    for (size_t i = begin; i < end; ++i) base[i] = sentinel(i);
+  }
+  std::vector<NormalFill> fills;
+  std::vector<std::vector<float>> want;
+  for (size_t i = 0; i < std::size(outputs); ++i) {
+    const auto [offset, n] = outputs[i];
+    fills.push_back({base + offset, n, 0.1 * static_cast<double>(i),
+                     0.02 + 0.5 * static_cast<double>(i)});
+    want.emplace_back(n);
+  }
+  Rng span(5), each(5);
+  span.FillNormal(fills);
+  for (size_t i = 0; i < fills.size(); ++i) {
+    each.FillNormal(want[i].data(), want[i].size(), fills[i].mean,
+                    fills[i].stddev);
+  }
+  // Residency first: the checks below read only pages that hold an output
+  // byte or a sentinel.
+  std::vector<unsigned char> resident(kFloats / kP);
+  ASSERT_EQ(mincore(base, kFloats * sizeof(float), resident.data()), 0);
+  std::vector<bool> used(resident.size(), false);
+  for (const auto& [offset, n] : outputs) {
+    for (size_t page = offset / kP; page * kP < offset + n; ++page) {
+      used[page] = true;
+    }
+  }
+  size_t unused = 0, stray = 0;
+  for (size_t page = 0; page < resident.size(); ++page) {
+    if (used[page]) continue;
+    ++unused;
+    stray += resident[page] & 1;
+  }
+  EXPECT_GT(unused, 400u);
+  EXPECT_EQ(stray, 0u) << "pages outside every output became resident";
+  size_t changed = 0;
+  for (const auto& [begin, end] : sentinels) {
+    for (size_t i = begin; i < end; ++i) {
+      const float s = sentinel(i);
+      changed += std::memcmp(&base[i], &s, sizeof(float)) != 0;
+    }
+  }
+  EXPECT_EQ(changed, 0u) << "sentinel floats were written";
+  for (size_t i = 0; i < fills.size(); ++i) {
+    EXPECT_EQ(std::memcmp(fills[i].out, want[i].data(),
+                          want[i].size() * sizeof(float)),
+              0)
+        << "output " << i;
+  }
+  ExpectSameGenerator(&span, &each);
+  munmap(map, mapped);
+}
+
+TEST(RngTest, SpanFillTouchesOnlyItsOutputs) {
+  ExpectSpanFillTouchesOnlyItsOutputs();
+  OnCpus(1, [] { ExpectSpanFillTouchesOnlyItsOutputs(); });
+}
+
+// WholePages' edges, at both page sizes: an empty range, one inside a
+// page, one exactly on page edges, and one with partial pages at both
+// ends.
+TEST(PagesTest, WholePagesKeepsOnlyPagesInsideTheRange) {
+  for (const size_t page : {kPage, kHugePage}) {
+    SCOPED_TRACE(page);
+    const uintptr_t at = 7 * page;
+    const auto whole = [](uintptr_t p, size_t bytes, size_t size) {
+      const Pages got =
+          WholePages(reinterpret_cast<const void*>(p), bytes, size);
+      return std::pair{got.begin, got.end};
+    };
+    EXPECT_EQ(whole(at, 0, page), std::pair(at, at));
+    EXPECT_EQ(whole(at + 5, 0, page), std::pair(at + page, at + page));
+    EXPECT_EQ(whole(at + 1, page - 2, page), std::pair(at + page, at + page));
+    EXPECT_EQ(whole(at, page - 1, page), std::pair(at, at));
+    EXPECT_EQ(whole(at + 1, page, page), std::pair(at + page, at + page));
+    EXPECT_EQ(whole(at, page, page), std::pair(at, at + page));
+    EXPECT_EQ(whole(at, 3 * page, page), std::pair(at, at + 3 * page));
+    EXPECT_EQ(whole(at - 1, 3 * page + 2, page), std::pair(at, at + 3 * page));
+    EXPECT_EQ(whole(at + 1, 3 * page, page),
+              std::pair(at + page, at + 3 * page));
+  }
+}
+
 // --- WorkerPool ------------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
@@ -769,6 +900,27 @@ TEST(WorkerPoolTest, RunsEveryIndexExactlyOnce) {
       hits[static_cast<size_t>(i)].fetch_add(1);
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// RunLast runs every index once after ordinary runs, at every width, and
+// the pool then tears down with its lanes already leaving; a RunLast of
+// nothing leaves the lanes to the destructor.
+TEST(WorkerPoolTest, RunLastRunsEveryIndexOnceThenTearsDown) {
+  for (int lanes : {1, 2, 4}) {
+    for (int64_t n : {0, 1, 17}) {
+      WorkerPool pool(lanes);
+      std::atomic<int64_t> sum{0};
+      pool.Run(5, [&](int64_t i, int) { sum.fetch_add(i + 1); });
+      ASSERT_EQ(sum.load(), 15);
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      for (auto& h : hits) h.store(0);
+      pool.RunLast(n, [&](int64_t i, int lane) {
+        EXPECT_LT(lane, pool.lanes());
+        hits[static_cast<size_t>(i)].fetch_add(1);
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
   }
 }
 
